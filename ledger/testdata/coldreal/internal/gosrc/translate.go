@@ -1,0 +1,1147 @@
+// Package gosrc is a Go source front end for the analyses in this
+// repository: it parses Go files with go/parser and translates each
+// function into the mini-C intermediate form (package minic), so that the
+// pushdown model checker (pdm), the post* baseline (mops), the taint
+// analysis (bitvector) and the danger-point chop all run unchanged on
+// real Go code.
+//
+// The translation is a sound control-flow abstraction, not a Go semantics:
+//
+//   - conditions are nondeterministic (both branches possible), as in the
+//     rest of the toolkit;
+//   - method calls x.M(...) become calls to M with the rendered receiver
+//     prepended as argument 0, so parametric properties can label the
+//     receiver (mu.Lock() → Lock(mu), matched per mutex name);
+//   - defer is expanded: the deferred calls run, in LIFO order, before
+//     every return and at the end of the function body;
+//   - go f() becomes a spawn statement (minic.SpawnStmt): the spawned
+//     call starts a new goroutine in the CFG; go func(){...}() closures
+//     are translated into synthesized functions ("f$go1") and spawned;
+//   - channel operations become channel statements: ch <- v, <-ch and
+//     close(ch) map to minic.SendStmt/RecvStmt/CloseStmt, parametric in
+//     the channel's rendering;
+//   - sync.Mutex/RWMutex usage keeps per-object lock identities (the
+//     receiver rendering), and once.Do(f) becomes a conditional call
+//     to f (it runs at most once);
+//   - reads and writes of package-level var declarations (except sync,
+//     channel and func values) are recorded as shared-variable access
+//     statements for the race checker — scope-blind: a local that
+//     shadows a package var in a nested scope may be misattributed;
+//   - range loops become condition-less loops over the body;
+//   - switch (expression and type switches) becomes the branch structure
+//     with Go's implicit break, honoring explicit fallthrough;
+//   - select branches are all considered possible;
+//   - labeled break/continue target the labeled loop or switch; labeled
+//     non-loop statements become break targets; goto is NOT modeled (it
+//     over-approximates as fall-through) and is reported as a Note.
+//
+// Plain functions are identified by name; methods are qualified by their
+// receiver type ("T.M") so same-named methods on different receivers are
+// all analyzed. When a method name is unambiguous across the program, a
+// bare-name alias ("M" -> "T.M") is registered so call sites x.M(...)
+// resolve interprocedurally; ambiguous method calls stay external calls.
+package gosrc
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"sort"
+	"strings"
+
+	"rasc/internal/ir"
+	"rasc/internal/minic"
+)
+
+// File is one Go source file handed to the translator.
+type File = ir.SourceFile
+
+// Note is a translation remark: a construct the abstraction handles
+// imprecisely (goto, duplicate definitions, ambiguous method names).
+type Note = ir.Note
+
+// Translation is the result of translating a set of Go files.
+type Translation struct {
+	// Prog is the merged mini-C program; every FuncDef carries the source
+	// File it came from.
+	Prog *minic.Program
+	// Notes lists translation imprecisions, ordered by file then line.
+	Notes []Note
+	// Ignores maps file name -> line -> checker names named in
+	// //rasc:ignore comments on that line. An empty name list means the
+	// line suppresses every checker.
+	Ignores map[string]map[int][]string
+	// FileIgnores maps file name -> checker names named in
+	// //rasc:ignore-file comments anywhere in that file. A present file
+	// with an empty name list suppresses every checker in the file.
+	FileIgnores map[string][]string
+	// Shared lists the package-level variables treated as shared state
+	// by the concurrency checkers, sorted.
+	Shared []string
+
+	gocount int // synthesized goroutine-closure counter
+}
+
+// Translate parses a single Go source buffer and translates every
+// function (including methods) into a mini-C program. Functions keep
+// their Go source line numbers so diagnostics point into the original
+// file. Translation notes are discarded; use TranslateFiles to get them.
+func Translate(src string) (*minic.Program, error) {
+	tr, err := TranslateFiles([]File{{Name: "src.go", Src: src}})
+	if err != nil {
+		return nil, err
+	}
+	return tr.Prog, nil
+}
+
+// Lower parses and translates a set of Go files and lowers the result
+// into the frontend-neutral IR: the kernel program plus its CFG, call
+// graph, fingerprints and summary keys, with the translation's notes and
+// suppression directives attached as ir.Meta. This is the entry point
+// package drivers consume; Translate/TranslateFiles remain for callers
+// that want the raw kernel form.
+func Lower(files []File) (*ir.Program, error) {
+	tr, err := TranslateFiles(files)
+	if err != nil {
+		return nil, err
+	}
+	return ir.New(tr.Prog, ir.Meta{
+		Notes:       tr.Notes,
+		Ignores:     tr.Ignores,
+		FileIgnores: tr.FileIgnores,
+		Shared:      tr.Shared,
+	})
+}
+
+// TranslateFiles parses a set of Go files and merges every function
+// across them into one mini-C program, so whole-package properties check
+// interprocedurally before CFG construction. Files are processed in the
+// given order; duplicate definitions keep the first body and add a Note.
+func TranslateFiles(files []File) (*Translation, error) {
+	fset := token.NewFileSet()
+	out := &Translation{
+		Prog:        &minic.Program{ByName: map[string]*minic.FuncDef{}},
+		Ignores:     map[string]map[int][]string{},
+		FileIgnores: map[string][]string{},
+	}
+	prog := out.Prog
+	// Pass 1: parse every file, so package-level shared variables are
+	// known before any function body is translated.
+	parsed := make([]*ast.File, len(files))
+	for i, f := range files {
+		file, err := parser.ParseFile(fset, f.Name, f.Src, parser.SkipObjectResolution|parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("gosrc: %w", err)
+		}
+		parsed[i] = file
+	}
+	globals := collectGlobals(fset, parsed)
+	for name := range globals {
+		out.Shared = append(out.Shared, name)
+	}
+	sort.Strings(out.Shared)
+	// methodsByBare collects method defs per bare name for alias
+	// registration once all files are seen.
+	methodsByBare := map[string][]*minic.FuncDef{}
+	for i, f := range files {
+		file := parsed[i]
+		tr := &translator{fset: fset, file: f.Name, out: out, globals: globals}
+		collectIgnores(fset, f.Name, file, out)
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			def, isMethod := tr.funcDecl(fd)
+			if def == nil {
+				continue
+			}
+			if isMethod {
+				methodsByBare[fd.Name.Name] = append(methodsByBare[fd.Name.Name], def)
+			}
+		}
+	}
+	if len(prog.Funcs) == 0 {
+		return nil, fmt.Errorf("gosrc: no function bodies found")
+	}
+	registerAliases(out, methodsByBare)
+	sortNotes(out.Notes)
+	return out, nil
+}
+
+// funcDecl translates one function declaration into t.out's program:
+// dup-checks the qualified name (first definition wins, later ones get a
+// Note and return nil), translates the body with defers expanded, and
+// registers the definition. The second result reports whether the
+// declaration is a method (its bare name is an alias candidate).
+func (t *translator) funcDecl(fd *ast.FuncDecl) (*minic.FuncDef, bool) {
+	name := fd.Name.Name
+	isMethod := false
+	if fd.Recv != nil {
+		if rt := recvTypeName(fd.Recv); rt != "" {
+			name = rt + "." + name
+			isMethod = true
+		}
+	}
+	prog := t.out.Prog
+	if _, dup := prog.ByName[name]; dup {
+		// Same qualified name twice (e.g. two files defining
+		// main): keep the first body, note the rest.
+		t.note(fd.Pos(), fmt.Sprintf("duplicate definition of %s ignored (first wins)", name))
+		return nil, false
+	}
+	t.deferred = nil
+	t.fnName = name
+	t.locals = localNames(fd)
+	def := &minic.FuncDef{
+		Name: name,
+		Line: t.line(fd.Pos()),
+		File: t.file,
+	}
+	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
+		def.Params = append(def.Params, fd.Recv.List[0].Names[0].Name)
+	}
+	if fd.Type.Params != nil {
+		for _, p := range fd.Type.Params.List {
+			for _, n := range p.Names {
+				def.Params = append(def.Params, n.Name)
+			}
+		}
+	}
+	body := t.block(fd.Body)
+	// Deferred calls run at the end of the body (return statements
+	// were already expanded inside).
+	body = append(body, t.deferredCalls()...)
+	def.Body = body
+	prog.Funcs = append(prog.Funcs, def)
+	prog.ByName[name] = def
+	return def, isMethod
+}
+
+// registerAliases applies the bare-name alias pass: x.M(...) translates
+// to M(x, ...), so a uniquely named method resolves interprocedurally
+// through the alias. An ambiguous name (several receivers) stays
+// external, noted once. Shared by the one-shot and memoized translation
+// paths so both resolve calls identically.
+func registerAliases(out *Translation, methodsByBare map[string][]*minic.FuncDef) {
+	prog := out.Prog
+	for bare, defs := range methodsByBare {
+		if _, taken := prog.ByName[bare]; taken {
+			continue // a plain function M shadows method aliases
+		}
+		if len(defs) == 1 {
+			prog.ByName[bare] = defs[0]
+			continue
+		}
+		out.Notes = append(out.Notes, Note{
+			File: defs[0].File,
+			Line: defs[0].Line,
+			Msg: fmt.Sprintf("method name %s is defined on %d receivers; calls through it are treated as external",
+				bare, len(defs)),
+		})
+	}
+}
+
+// recvTypeName extracts the receiver's base type name: *T -> T,
+// T[P] -> T.
+func recvTypeName(recv *ast.FieldList) string {
+	if len(recv.List) != 1 {
+		return ""
+	}
+	typ := recv.List[0].Type
+	for {
+		switch t := typ.(type) {
+		case *ast.StarExpr:
+			typ = t.X
+		case *ast.IndexExpr:
+			typ = t.X
+		case *ast.IndexListExpr:
+			typ = t.X
+		case *ast.ParenExpr:
+			typ = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// collectGlobals gathers package-level var names across all files; these
+// are the shared variables the concurrency checkers track. Variables of
+// synchronization or function shape (sync.*, channels, funcs) are
+// excluded: they are modeled as events, not data.
+func collectGlobals(fset *token.FileSet, files []*ast.File) map[string]bool {
+	out := map[string]bool{}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok || syncShaped(fset, vs) {
+					continue
+				}
+				for _, n := range vs.Names {
+					if n.Name != "_" {
+						out[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// syncShaped reports whether a var spec's type or initializer names a
+// synchronization or function type (type-blind, by rendering).
+func syncShaped(fset *token.FileSet, vs *ast.ValueSpec) bool {
+	check := func(e ast.Expr) bool {
+		if e == nil {
+			return false
+		}
+		var buf bytes.Buffer
+		if err := printer.Fprint(&buf, fset, e); err != nil {
+			return false
+		}
+		s := buf.String()
+		return strings.Contains(s, "sync.") || containsWord(s, "chan") || containsWord(s, "func")
+	}
+	if check(vs.Type) {
+		return true
+	}
+	for _, v := range vs.Values {
+		if check(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// containsWord reports whether s contains word as a whole identifier.
+func containsWord(s, word string) bool {
+	for i := 0; i+len(word) <= len(s); i++ {
+		if s[i:i+len(word)] != word {
+			continue
+		}
+		before := i == 0 || !isIdentByte(s[i-1])
+		after := i+len(word) == len(s) || !isIdentByte(s[i+len(word)])
+		if before && after {
+			return true
+		}
+	}
+	return false
+}
+
+func isIdentByte(b byte) bool {
+	return b == '_' || ('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z') || ('0' <= b && b <= '9')
+}
+
+// localNames gathers every name bound inside a function declaration —
+// receiver, parameters, results, :=-definitions, var/const declarations,
+// range and closure bindings — scope-blind, to decide when an identifier
+// refers to a package-level shared variable.
+func localNames(fd *ast.FuncDecl) map[string]bool {
+	out := map[string]bool{}
+	addFields := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, f := range fl.List {
+			for _, n := range f.Names {
+				out[n.Name] = true
+			}
+		}
+	}
+	addFields(fd.Recv)
+	addFields(fd.Type.Params)
+	addFields(fd.Type.Results)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if x.Tok == token.DEFINE {
+				for _, l := range x.Lhs {
+					if id, ok := l.(*ast.Ident); ok {
+						out[id.Name] = true
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			for _, id := range x.Names {
+				out[id.Name] = true
+			}
+		case *ast.RangeStmt:
+			if x.Tok == token.DEFINE {
+				if id, ok := x.Key.(*ast.Ident); ok {
+					out[id.Name] = true
+				}
+				if id, ok := x.Value.(*ast.Ident); ok {
+					out[id.Name] = true
+				}
+			}
+		case *ast.FuncLit:
+			addFields(x.Type.Params)
+			addFields(x.Type.Results)
+		}
+		return true
+	})
+	return out
+}
+
+// collectIgnores records //rasc:ignore[=checker,...] line directives and
+// //rasc:ignore-file[=checker,...] file directives.
+func collectIgnores(fset *token.FileSet, name string, file *ast.File, out *Translation) {
+	into := out.Ignores
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			text := strings.TrimPrefix(c.Text, "//")
+			text = strings.TrimSpace(text)
+			if !strings.HasPrefix(text, "rasc:ignore") {
+				continue
+			}
+			if strings.HasPrefix(text, "rasc:ignore-file") {
+				rest := strings.TrimPrefix(text, "rasc:ignore-file")
+				checkers, ok := ignoreCheckers(rest)
+				if !ok {
+					continue
+				}
+				// A bare //rasc:ignore-file suppresses every checker in
+				// the file and absorbs any named ones.
+				cur, seen := out.FileIgnores[name]
+				if len(checkers) == 0 || (seen && len(cur) == 0) {
+					out.FileIgnores[name] = []string{}
+				} else {
+					out.FileIgnores[name] = append(cur, checkers...)
+				}
+				continue
+			}
+			rest := strings.TrimPrefix(text, "rasc:ignore")
+			checkers, ok := ignoreCheckers(rest)
+			if !ok {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			m := into[name]
+			if m == nil {
+				m = map[int][]string{}
+				into[name] = m
+			}
+			// An empty checker list (bare //rasc:ignore) suppresses all
+			// checkers on the line and absorbs any named ones.
+			cur, seen := m[line]
+			switch {
+			case len(checkers) == 0 || (seen && len(cur) == 0):
+				m[line] = []string{}
+			default:
+				m[line] = append(cur, checkers...)
+			}
+		}
+	}
+}
+
+// ignoreCheckers parses the tail of an ignore directive: "" (bare),
+// "=a,b" (named). Any other tail means the comment is not a directive.
+func ignoreCheckers(rest string) ([]string, bool) {
+	var checkers []string
+	if strings.HasPrefix(rest, "=") {
+		for _, n := range strings.Split(rest[1:], ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				checkers = append(checkers, n)
+			}
+		}
+	} else if rest != "" && !strings.HasPrefix(rest, " ") {
+		return nil, false // e.g. "rasc:ignorethis" is not a directive
+	}
+	return checkers, true
+}
+
+func sortNotes(notes []Note) {
+	for i := 1; i < len(notes); i++ {
+		for j := i; j > 0; j-- {
+			a, b := notes[j-1], notes[j]
+			if a.File < b.File || (a.File == b.File && a.Line <= b.Line) {
+				break
+			}
+			notes[j-1], notes[j] = b, a
+		}
+	}
+}
+
+// MustTranslate panics on error.
+func MustTranslate(src string) *minic.Program {
+	p, err := Translate(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+type translator struct {
+	fset *token.FileSet
+	file string
+	out  *Translation
+	// globals holds the package-level shared variables; locals the names
+	// bound in the current function (scope-blind, see localNames).
+	globals map[string]bool
+	locals  map[string]bool
+	// fnName is the (qualified) name of the function being translated,
+	// used to name synthesized goroutine closures.
+	fnName string
+	// deferred calls of the current function, in defer order.
+	deferred []*minic.CallExpr
+}
+
+func (t *translator) line(p token.Pos) int { return t.fset.Position(p).Line }
+
+func (t *translator) note(p token.Pos, msg string) {
+	if t.out == nil {
+		return
+	}
+	t.out.Notes = append(t.out.Notes, Note{File: t.file, Line: t.line(p), Msg: msg})
+}
+
+func (t *translator) render(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, t.fset, e); err != nil {
+		return "?"
+	}
+	return buf.String()
+}
+
+// deferredCalls expands the recorded defers in LIFO order.
+func (t *translator) deferredCalls() []minic.Stmt {
+	var out []minic.Stmt
+	for i := len(t.deferred) - 1; i >= 0; i-- {
+		out = append(out, &minic.ExprStmt{X: t.deferred[i], Line: t.deferred[i].Line})
+	}
+	return out
+}
+
+// closureFn synthesizes a function definition from a closure body (a
+// go func(){...}() spawn or a once.Do(func(){...}) argument) and returns
+// its name. The "$" in the name cannot collide with a Go identifier.
+func (t *translator) closureFn(fl *ast.FuncLit, suffix string) string {
+	t.out.gocount++
+	name := fmt.Sprintf("%s$%s%d", t.fnName, suffix, t.out.gocount)
+	def := &minic.FuncDef{Name: name, Line: t.line(fl.Pos()), File: t.file}
+	if fl.Type.Params != nil {
+		for _, p := range fl.Type.Params.List {
+			for _, n := range p.Names {
+				def.Params = append(def.Params, n.Name)
+			}
+		}
+	}
+	// The closure gets its own defer scope; captured locals stay in
+	// t.locals, which localNames already collected closure-deep.
+	saved := t.deferred
+	t.deferred = nil
+	body := t.block(fl.Body)
+	body = append(body, t.deferredCalls()...)
+	t.deferred = saved
+	def.Body = body
+	t.out.Prog.Funcs = append(t.out.Prog.Funcs, def)
+	t.out.Prog.ByName[name] = def
+	return name
+}
+
+// collectShared walks an expression collecting reads of package-level
+// shared variables (globals not shadowed by a function-local name).
+// Callee names and selector fields are skipped; receivers and arguments
+// are visited. Closure bodies are not entered (their accesses surface
+// where the closure is translated as a function, or not at all for
+// hoisted-call closures).
+func (t *translator) collectShared(e ast.Expr, seen map[string]bool, names *[]string) {
+	if e == nil {
+		return
+	}
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			switch fun := x.Fun.(type) {
+			case *ast.Ident:
+				// skip the callee name
+			case *ast.SelectorExpr:
+				t.collectShared(fun.X, seen, names)
+			default:
+				t.collectShared(fun, seen, names)
+			}
+			for _, a := range x.Args {
+				t.collectShared(a, seen, names)
+			}
+			return false
+		case *ast.SelectorExpr:
+			t.collectShared(x.X, seen, names)
+			return false
+		case *ast.KeyValueExpr:
+			t.collectShared(x.Value, seen, names)
+			return false
+		case *ast.Ident:
+			if t.globals[x.Name] && !t.locals[x.Name] && !seen[x.Name] {
+				seen[x.Name] = true
+				*names = append(*names, x.Name)
+			}
+			return false
+		case *ast.FuncLit:
+			return false
+		}
+		return true
+	})
+}
+
+// sharedReads returns read-access statements for every shared variable
+// read in exprs, deduplicated, in source encounter order.
+func (t *translator) sharedReads(line int, exprs ...ast.Expr) []minic.Stmt {
+	seen := map[string]bool{}
+	var names []string
+	for _, e := range exprs {
+		t.collectShared(e, seen, &names)
+	}
+	var out []minic.Stmt
+	for _, n := range names {
+		out = append(out, &minic.AccessStmt{Name: n, Line: line})
+	}
+	return out
+}
+
+// sharedWriteTarget unwraps an assignment target (x, x.f, x[i], *x, (x))
+// to its base identifier and returns it if it is a shared variable.
+func (t *translator) sharedWriteTarget(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.Ident:
+			if t.globals[x.Name] && !t.locals[x.Name] {
+				return x.Name
+			}
+			return ""
+		default:
+			return ""
+		}
+	}
+}
+
+// sharedWrites returns write-access statements for the shared variables
+// among the assignment targets in lhs.
+func (t *translator) sharedWrites(line int, lhs []ast.Expr) []minic.Stmt {
+	var out []minic.Stmt
+	seen := map[string]bool{}
+	for _, l := range lhs {
+		if name := t.sharedWriteTarget(l); name != "" && !seen[name] {
+			seen[name] = true
+			out = append(out, &minic.AccessStmt{Name: name, Write: true, Line: line})
+		}
+	}
+	return out
+}
+
+func (t *translator) block(b *ast.BlockStmt) []minic.Stmt {
+	var out []minic.Stmt
+	for _, st := range b.List {
+		out = append(out, t.stmt(st)...)
+	}
+	return out
+}
+
+func (t *translator) stmts(list []ast.Stmt) []minic.Stmt {
+	var out []minic.Stmt
+	for _, st := range list {
+		out = append(out, t.stmt(st)...)
+	}
+	return out
+}
+
+func (t *translator) stmt(st ast.Stmt) []minic.Stmt {
+	switch s := st.(type) {
+	case *ast.ExprStmt:
+		line := t.line(s.Pos())
+		// <-ch as a statement is a channel receive.
+		if u, ok := s.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+			return []minic.Stmt{&minic.RecvStmt{Chan: t.render(u.X), Line: line}}
+		}
+		if c, ok := s.X.(*ast.CallExpr); ok {
+			if special := t.specialCall(c, line); special != nil {
+				return special
+			}
+		}
+		out := t.sharedReads(line, s.X)
+		if x := t.expr(s.X); x != nil {
+			out = append(out, &minic.ExprStmt{X: x, Line: line})
+		}
+		return out
+	case *ast.AssignStmt:
+		line := t.line(s.Pos())
+		var out []minic.Stmt
+		out = append(out, t.sharedReads(line, s.Rhs...)...)
+		// x = <-ch / x := <-ch is a channel receive labelled with x.
+		if len(s.Rhs) == 1 {
+			if u, ok := s.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+				assignTo := ""
+				if len(s.Lhs) == 1 {
+					if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+						assignTo = id.Name
+					}
+				}
+				out = append(out, &minic.RecvStmt{Chan: t.render(u.X), AssignTo: assignTo, Line: line})
+				if s.Tok != token.DEFINE {
+					out = append(out, t.sharedWrites(line, s.Lhs)...)
+				}
+				return out
+			}
+		}
+		// Single-target assignment keeps the name (for parametric label
+		// extraction: f, err := os.Open(...) labels f); multi-target
+		// keeps only the calls.
+		name := ""
+		if len(s.Lhs) >= 1 {
+			if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+				name = id.Name
+			}
+		}
+		for i, rhs := range s.Rhs {
+			x := t.expr(rhs)
+			if x == nil {
+				continue
+			}
+			if i == 0 && name != "" {
+				out = append(out, &minic.AssignStmt{Name: name, X: x, Line: line})
+			} else {
+				out = append(out, &minic.ExprStmt{X: x, Line: line})
+			}
+		}
+		if s.Tok != token.DEFINE {
+			// Compound assignment (x += ...) reads its target first.
+			if s.Tok != token.ASSIGN {
+				for _, l := range s.Lhs {
+					if n := t.sharedWriteTarget(l); n != "" {
+						out = append(out, &minic.AccessStmt{Name: n, Line: line})
+					}
+				}
+			}
+			out = append(out, t.sharedWrites(line, s.Lhs)...)
+		}
+		return out
+	case *ast.DeclStmt:
+		// var x = f(): keep initializer calls, labelled by the name.
+		gd, ok := s.Decl.(*ast.GenDecl)
+		if !ok {
+			return nil
+		}
+		var out []minic.Stmt
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			out = append(out, t.sharedReads(t.line(s.Pos()), vs.Values...)...)
+			for i, v := range vs.Values {
+				x := t.expr(v)
+				if x == nil {
+					continue
+				}
+				name := ""
+				if i < len(vs.Names) && vs.Names[i].Name != "_" {
+					name = vs.Names[i].Name
+				}
+				if name != "" {
+					out = append(out, &minic.DeclStmt{Name: name, Init: x, Line: t.line(s.Pos())})
+				} else {
+					out = append(out, &minic.ExprStmt{X: x, Line: t.line(s.Pos())})
+				}
+			}
+		}
+		return out
+	case *ast.IfStmt:
+		var out []minic.Stmt
+		if s.Init != nil {
+			out = append(out, t.stmt(s.Init)...)
+		}
+		out = append(out, t.sharedReads(t.line(s.Pos()), s.Cond)...)
+		ifs := &minic.IfStmt{
+			Cond: t.condExpr(s.Cond),
+			Then: t.block(s.Body),
+			Line: t.line(s.Pos()),
+		}
+		if s.Else != nil {
+			switch e := s.Else.(type) {
+			case *ast.BlockStmt:
+				ifs.Else = t.block(e)
+			default:
+				ifs.Else = t.stmt(e)
+			}
+		}
+		return append(out, ifs)
+	case *ast.ForStmt:
+		var out []minic.Stmt
+		f := &minic.ForStmt{Line: t.line(s.Pos())}
+		if s.Init != nil {
+			init := t.stmt(s.Init)
+			// The for-clause holds one statement; extra ones hoist.
+			if len(init) > 0 {
+				f.Init = init[len(init)-1]
+				out = append(out, init[:len(init)-1]...)
+			}
+		}
+		if s.Cond != nil {
+			// The condition's shared reads surface once, before the loop.
+			out = append(out, t.sharedReads(t.line(s.Cond.Pos()), s.Cond)...)
+			f.Cond = t.condExpr(s.Cond)
+		}
+		if s.Post != nil {
+			post := t.stmt(s.Post)
+			if len(post) > 0 {
+				f.Post = post[0]
+			}
+		}
+		f.Body = t.block(s.Body)
+		return append(out, f)
+	case *ast.RangeStmt:
+		// range loops: a loop whose body may run zero or more times.
+		body := t.block(s.Body)
+		out := t.sharedReads(t.line(s.Pos()), s.X)
+		if x := t.expr(s.X); x != nil {
+			out = append(out, &minic.ExprStmt{X: x, Line: t.line(s.Pos())})
+		}
+		return append(out, &minic.WhileStmt{
+			Cond: &minic.IdentExpr{Name: "$range"},
+			Body: body,
+			Line: t.line(s.Pos()),
+		})
+	case *ast.ReturnStmt:
+		out := t.sharedReads(t.line(s.Pos()), s.Results...)
+		for _, r := range s.Results {
+			if x := t.expr(r); x != nil {
+				out = append(out, &minic.ExprStmt{X: x, Line: t.line(s.Pos())})
+			}
+		}
+		// Deferred calls run before the return.
+		out = append(out, t.deferredCalls()...)
+		return append(out, &minic.ReturnStmt{Line: t.line(s.Pos())})
+	case *ast.BranchStmt:
+		label := ""
+		if s.Label != nil {
+			label = s.Label.Name
+		}
+		switch s.Tok {
+		case token.BREAK:
+			return []minic.Stmt{&minic.BreakStmt{Line: t.line(s.Pos()), Label: label}}
+		case token.CONTINUE:
+			return []minic.Stmt{&minic.ContinueStmt{Line: t.line(s.Pos()), Label: label}}
+		case token.FALLTHROUGH:
+			// Handled by the switch translation.
+			return []minic.Stmt{&minic.ExprStmt{
+				X:    &minic.CallExpr{Name: "$fallthrough", Line: t.line(s.Pos())},
+				Line: t.line(s.Pos()),
+			}}
+		case token.GOTO:
+			// goto is not modeled: the translation over-approximates it
+			// as fall-through, which can miss or invent event orderings.
+			t.note(s.Pos(), fmt.Sprintf("goto %s is not modeled (over-approximated as fall-through)", label))
+			return nil
+		}
+		return nil
+	case *ast.BlockStmt:
+		return []minic.Stmt{&minic.BlockStmt{Body: t.block(s), Line: t.line(s.Pos())}}
+	case *ast.DeferStmt:
+		if call := t.call(s.Call); call != nil {
+			t.deferred = append(t.deferred, call)
+		}
+		return nil
+	case *ast.GoStmt:
+		line := t.line(s.Pos())
+		var call *minic.CallExpr
+		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
+			// go func(...){...}(args): synthesize the closure as a named
+			// function and spawn it; args are evaluated at the spawn.
+			call = &minic.CallExpr{Name: t.closureFn(fl, "go"), Line: line}
+			for _, a := range s.Call.Args {
+				call.Args = append(call.Args, t.argExpr(a))
+			}
+		} else {
+			call = t.call(s.Call)
+		}
+		if call == nil {
+			return nil
+		}
+		out := t.sharedReads(line, s.Call.Args...)
+		return append(out, &minic.SpawnStmt{Call: call, Line: line})
+	case *ast.SendStmt:
+		line := t.line(s.Pos())
+		out := t.sharedReads(line, s.Value)
+		return append(out, &minic.SendStmt{Chan: t.render(s.Chan), Value: t.expr(s.Value), Line: line})
+	case *ast.IncDecStmt:
+		line := t.line(s.Pos())
+		if name := t.sharedWriteTarget(s.X); name != "" {
+			// x++ reads and writes x.
+			return []minic.Stmt{
+				&minic.AccessStmt{Name: name, Line: line},
+				&minic.AccessStmt{Name: name, Write: true, Line: line},
+			}
+		}
+		return nil
+	case *ast.SwitchStmt:
+		return t.switchLike(s.Init, s.Tag, s.Body, s.Pos())
+	case *ast.TypeSwitchStmt:
+		return t.switchLike(s.Init, nil, s.Body, s.Pos())
+	case *ast.SelectStmt:
+		// Every branch possible.
+		sw := &minic.SwitchStmt{Cond: &minic.IdentExpr{Name: "$select"}, Line: t.line(s.Pos())}
+		for _, cl := range s.Body.List {
+			cc, ok := cl.(*ast.CommClause)
+			if !ok {
+				continue
+			}
+			body := t.stmts(cc.Body)
+			body = append(body, &minic.BreakStmt{Line: t.line(cc.Pos())})
+			sw.Cases = append(sw.Cases, minic.SwitchCase{
+				IsDefault: cc.Comm == nil,
+				Value:     &minic.IdentExpr{Name: "$comm"},
+				Body:      body,
+				Line:      t.line(cc.Pos()),
+			})
+		}
+		fixSwitchDefaults(sw)
+		return []minic.Stmt{sw}
+	case *ast.LabeledStmt:
+		label := s.Label.Name
+		out := t.stmt(s.Stmt)
+		if attachLabel(out, label) {
+			return out
+		}
+		if len(out) == 0 {
+			// Only a goto target; nothing to translate.
+			return nil
+		}
+		// Labeled non-loop statement: wrap in a labeled block so
+		// "break label" still resolves.
+		return []minic.Stmt{&minic.BlockStmt{Label: label, Body: out, Line: t.line(s.Pos())}}
+	case *ast.EmptyStmt:
+		return nil
+	}
+	return nil
+}
+
+// specialCall translates the concurrency-special call statements:
+// close(ch) (the builtin) and once.Do(f). Returns nil when c is an
+// ordinary call.
+func (t *translator) specialCall(c *ast.CallExpr, line int) []minic.Stmt {
+	if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "close" && len(c.Args) == 1 {
+		return []minic.Stmt{&minic.CloseStmt{Chan: t.render(c.Args[0]), Line: line}}
+	}
+	// once.Do(f): f runs at most once — a conditional call. Type-blind
+	// heuristic: the receiver's rendering must mention "once" so that
+	// e.g. httpClient.Do(req) stays an ordinary call.
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Do" || len(c.Args) != 1 ||
+		!strings.Contains(strings.ToLower(t.render(sel.X)), "once") {
+		return nil
+	}
+	var inner *minic.CallExpr
+	switch arg := c.Args[0].(type) {
+	case *ast.FuncLit:
+		inner = &minic.CallExpr{Name: t.closureFn(arg, "once"), Line: line}
+	case *ast.Ident:
+		inner = &minic.CallExpr{Name: arg.Name, Line: line}
+	case *ast.SelectorExpr:
+		inner = &minic.CallExpr{Name: arg.Sel.Name, Args: []minic.Expr{t.argExpr(arg.X)}, Line: line}
+	default:
+		return nil
+	}
+	return []minic.Stmt{&minic.IfStmt{
+		Cond: &minic.IdentExpr{Name: "$once"},
+		Then: []minic.Stmt{&minic.ExprStmt{X: inner, Line: line}},
+		Line: line,
+	}}
+}
+
+// attachLabel sets the label on the first loop or switch in out (a
+// labeled statement translates to at most one, possibly after hoisted
+// init statements) and reports whether it found one.
+func attachLabel(out []minic.Stmt, label string) bool {
+	for _, st := range out {
+		switch x := st.(type) {
+		case *minic.ForStmt:
+			x.Label = label
+			return true
+		case *minic.WhileStmt:
+			x.Label = label
+			return true
+		case *minic.DoWhileStmt:
+			x.Label = label
+			return true
+		case *minic.SwitchStmt:
+			x.Label = label
+			return true
+		}
+	}
+	return false
+}
+
+// switchLike translates expression and type switches with Go's implicit
+// break and explicit fallthrough.
+func (t *translator) switchLike(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, pos token.Pos) []minic.Stmt {
+	var out []minic.Stmt
+	if init != nil {
+		out = append(out, t.stmt(init)...)
+	}
+	cond := minic.Expr(&minic.IdentExpr{Name: "$switch"})
+	if tag != nil {
+		out = append(out, t.sharedReads(t.line(pos), tag)...)
+		if x := t.expr(tag); x != nil {
+			if c, ok := x.(*minic.CallExpr); ok {
+				out = append(out, &minic.ExprStmt{X: c, Line: t.line(pos)})
+			}
+		}
+	}
+	sw := &minic.SwitchStmt{Cond: cond, Line: t.line(pos)}
+	for _, cl := range body.List {
+		cc, ok := cl.(*ast.CaseClause)
+		if !ok {
+			continue
+		}
+		caseBody := t.stmts(cc.Body)
+		// Go switch: implicit break unless the body ends in fallthrough.
+		if n := len(caseBody); n > 0 && isFallthroughMarker(caseBody[n-1]) {
+			caseBody = caseBody[:n-1]
+		} else {
+			caseBody = append(caseBody, &minic.BreakStmt{Line: t.line(cc.Pos())})
+		}
+		sw.Cases = append(sw.Cases, minic.SwitchCase{
+			IsDefault: cc.List == nil,
+			Value:     &minic.IdentExpr{Name: "$case"},
+			Body:      caseBody,
+			Line:      t.line(cc.Pos()),
+		})
+	}
+	fixSwitchDefaults(sw)
+	return append(out, sw)
+}
+
+// fixSwitchDefaults enforces minic's invariant that default cases carry no
+// value and non-defaults do.
+func fixSwitchDefaults(sw *minic.SwitchStmt) {
+	for i := range sw.Cases {
+		if sw.Cases[i].IsDefault {
+			sw.Cases[i].Value = nil
+		}
+	}
+}
+
+func isFallthroughMarker(st minic.Stmt) bool {
+	es, ok := st.(*minic.ExprStmt)
+	if !ok {
+		return false
+	}
+	c, ok := es.X.(*minic.CallExpr)
+	return ok && c.Name == "$fallthrough"
+}
+
+// expr translates an expression, keeping only call structure; returns nil
+// when nothing analysis-relevant remains.
+func (t *translator) expr(e ast.Expr) minic.Expr {
+	switch x := e.(type) {
+	case *ast.CallExpr:
+		return t.call(x)
+	case *ast.ParenExpr:
+		return t.expr(x.X)
+	case *ast.UnaryExpr:
+		return t.expr(x.X)
+	case *ast.StarExpr:
+		return t.expr(x.X)
+	case *ast.BinaryExpr:
+		l, r := t.expr(x.X), t.expr(x.Y)
+		switch {
+		case l != nil && r != nil:
+			return &minic.BinExpr{Op: x.Op.String(), L: l, R: r}
+		case l != nil:
+			return l
+		default:
+			return r
+		}
+	case *ast.Ident:
+		return &minic.IdentExpr{Name: x.Name}
+	case *ast.BasicLit:
+		return &minic.NumExpr{Text: x.Value}
+	case *ast.SelectorExpr:
+		return &minic.IdentExpr{Name: t.render(x)}
+	case *ast.FuncLit:
+		// Closures are not inlined; their body's calls are conservatively
+		// hoisted to the creation point.
+		var calls []minic.Expr
+		ast.Inspect(x.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if mc := t.call(c); mc != nil {
+					calls = append(calls, mc)
+				}
+				return false
+			}
+			return true
+		})
+		if len(calls) == 0 {
+			return nil
+		}
+		out := calls[0]
+		for _, c := range calls[1:] {
+			out = &minic.BinExpr{Op: ";", L: out, R: c}
+		}
+		return out
+	}
+	return nil
+}
+
+// call translates a Go call: plain calls keep their name; method calls
+// x.M(a) become M(x, a) so the receiver is argument 0.
+func (t *translator) call(c *ast.CallExpr) *minic.CallExpr {
+	out := &minic.CallExpr{Line: t.line(c.Pos())}
+	switch fun := c.Fun.(type) {
+	case *ast.Ident:
+		out.Name = fun.Name
+	case *ast.SelectorExpr:
+		out.Name = fun.Sel.Name
+		if recv := t.argExpr(fun.X); recv != nil {
+			out.Args = append(out.Args, recv)
+		}
+	default:
+		// Indirect call: keep argument effects under an opaque name.
+		out.Name = "$indirect"
+	}
+	for _, a := range c.Args {
+		out.Args = append(out.Args, t.argExpr(a))
+	}
+	return out
+}
+
+// argExpr renders an argument: calls are translated (so nested calls make
+// CFG actions), everything else keeps its source text for event-rule
+// matching.
+func (t *translator) argExpr(e ast.Expr) minic.Expr {
+	if c, ok := e.(*ast.CallExpr); ok {
+		return t.call(c)
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return &minic.IdentExpr{Name: id.Name}
+	}
+	if bl, ok := e.(*ast.BasicLit); ok {
+		return &minic.NumExpr{Text: bl.Value}
+	}
+	return &minic.IdentExpr{Name: t.render(e)}
+}
+
+// condExpr keeps call effects in conditions.
+func (t *translator) condExpr(e ast.Expr) minic.Expr {
+	if x := t.expr(e); x != nil {
+		return x
+	}
+	return &minic.IdentExpr{Name: "$cond"}
+}

@@ -1,0 +1,218 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strings"
+	"syscall"
+	"time"
+
+	"rasc/internal/analysis"
+	"rasc/internal/gosrc"
+)
+
+// ClientOptions tunes a Client. Zero fields take defaults.
+type ClientOptions struct {
+	// Timeout bounds each HTTP request end to end (default 5 minutes —
+	// a cold first check of a large program is a real analysis run).
+	Timeout time.Duration
+	// Retries is how many extra attempts a connection-refused failure
+	// gets (default 1), so a daemon mid-restart doesn't fail clients
+	// hard. Only connection-refused retries: the request never reached
+	// a server, so resending cannot double-apply anything.
+	Retries int
+	// Backoff is the wait before the first retry, doubling per attempt
+	// (default 200ms).
+	Backoff time.Duration
+}
+
+func (o ClientOptions) withDefaults() ClientOptions {
+	if o.Timeout <= 0 {
+		o.Timeout = 5 * time.Minute
+	}
+	if o.Retries < 0 {
+		o.Retries = 0
+	}
+	if o.Backoff <= 0 {
+		o.Backoff = 200 * time.Millisecond
+	}
+	return o
+}
+
+// Client talks to a gocheckd daemon. The zero value is not usable; use
+// NewClient or NewClientWith.
+type Client struct {
+	base    string
+	http    *http.Client
+	retries int
+	backoff time.Duration
+}
+
+// NewClient builds a client with default options. addr may be a bare
+// host:port or a full http:// URL.
+func NewClient(addr string) *Client {
+	return NewClientWith(addr, ClientOptions{})
+}
+
+// NewClientWith builds a client with explicit options.
+func NewClientWith(addr string, opts ClientOptions) *Client {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	opts = opts.withDefaults()
+	return &Client{
+		base:    strings.TrimRight(addr, "/"),
+		http:    &http.Client{Timeout: opts.Timeout},
+		retries: opts.Retries,
+		backoff: opts.Backoff,
+	}
+}
+
+// connRefused detects a connection-refused transport failure through
+// any wrapping (url.Error -> net.OpError -> os.SyscallError).
+func connRefused(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED)
+}
+
+// decode reads one JSON response, mapping non-2xx statuses to the
+// server's error body, tagged with the response's trace ID so a failed
+// request can be found in the daemon's logs and flight recorder.
+func decode(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("server: reading response: %w", err)
+	}
+	if resp.StatusCode/100 != 2 {
+		trace := ""
+		if id := resp.Header.Get(TraceHeader); id != "" {
+			trace = " (trace " + id + ")"
+		}
+		var er errorResponse
+		if json.Unmarshal(body, &er) == nil && er.Error != "" {
+			return fmt.Errorf("server: %s%s", er.Error, trace)
+		}
+		return fmt.Errorf("server: HTTP %d: %s%s", resp.StatusCode, strings.TrimSpace(string(body)), trace)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("server: undecodable response: %w", err)
+	}
+	return nil
+}
+
+// do issues one request, retrying connection-refused failures with
+// exponential backoff. The body is kept as bytes so every attempt sends
+// a fresh reader.
+func (c *Client) do(method, path string, body []byte, out any) error {
+	backoff := c.backoff
+	for attempt := 0; ; attempt++ {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequest(method, c.base+path, rd)
+		if err != nil {
+			return fmt.Errorf("server: %w", err)
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := c.http.Do(req)
+		if err != nil {
+			if attempt < c.retries && connRefused(err) {
+				time.Sleep(backoff)
+				backoff *= 2
+				continue
+			}
+			return fmt.Errorf("server: %w", err)
+		}
+		return decode(resp, out)
+	}
+}
+
+func (c *Client) get(path string, out any) error {
+	return c.do(http.MethodGet, path, nil, out)
+}
+
+func (c *Client) post(path string, body, out any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("server: encoding request: %w", err)
+	}
+	return c.do(http.MethodPost, path, raw, out)
+}
+
+// Health probes GET /v1/health.
+func (c *Client) Health() (HealthResponse, error) {
+	var h HealthResponse
+	err := c.get("/v1/health", &h)
+	return h, err
+}
+
+// Manifest fetches the server's file-hash manifest for a program.
+func (c *Client) Manifest(program string) (ManifestResponse, error) {
+	var m ManifestResponse
+	err := c.get("/v1/manifest?program="+url.QueryEscape(program), &m)
+	return m, err
+}
+
+// Check posts one check request and returns the server's report, with
+// the envelope's telemetry (trace ID, inline trace) attached to the
+// report's unrendered telemetry fields.
+func (c *Client) Check(req CheckRequest) (*analysis.Report, error) {
+	return c.check("/v1/check", req)
+}
+
+// CheckTraced is Check with ?trace=1: the report comes back with its
+// Chrome trace on Report.TraceJSON.
+func (c *Client) CheckTraced(req CheckRequest) (*analysis.Report, error) {
+	return c.check("/v1/check?trace=1", req)
+}
+
+func (c *Client) check(path string, req CheckRequest) (*analysis.Report, error) {
+	var resp CheckResponse
+	if err := c.post(path, req, &resp); err != nil {
+		return nil, err
+	}
+	if resp.Report == nil {
+		return nil, fmt.Errorf("server: response carried no report")
+	}
+	// json:"-" telemetry fields don't survive the wire inside the
+	// report; rehydrate them from the envelope.
+	resp.Report.TraceID = resp.TraceID
+	resp.Report.TraceJSON = []byte(resp.Trace)
+	return resp.Report, nil
+}
+
+// CheckFiles diffs the local file set against the server's manifest and
+// posts the minimal delta: the resident-engine fast path for editor and
+// CI clients.
+func (c *Client) CheckFiles(program string, files []gosrc.File, req CheckRequest) (*analysis.Report, error) {
+	m, err := c.Manifest(program)
+	if err != nil {
+		return nil, err
+	}
+	req.Program = program
+	req.Upserts, req.Removes = Delta(files, m.Files)
+	return c.Check(req)
+}
+
+// Metrics fetches GET /v1/metrics.
+func (c *Client) Metrics() (MetricsResponse, error) {
+	var m MetricsResponse
+	err := c.get("/v1/metrics", &m)
+	return m, err
+}
+
+// Shutdown requests a graceful daemon stop.
+func (c *Client) Shutdown() error {
+	return c.post("/v1/shutdown", struct{}{}, nil)
+}
