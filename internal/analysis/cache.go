@@ -36,10 +36,11 @@ import (
 )
 
 // CacheVersion is the on-disk format version. Bump it whenever the
-// record schema or key derivation changes incompatibly; records written
-// under another version read as misses (with a note), never as wrong
-// results.
-const CacheVersion = 1
+// record schema or key derivation changes incompatibly, or when the
+// values records hold change for the same key (such as solver
+// statistics); records written under another version read as misses
+// (with a note), never as wrong results.
+const CacheVersion = 2
 
 // Cache is a handle on an on-disk result cache directory. It is safe for
 // concurrent use by any number of Analyze runs.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rasc/internal/minic"
 	"rasc/internal/spec"
@@ -114,6 +115,16 @@ type Checker struct {
 	once   sync.Once
 	prop   *spec.Property
 	events *minic.EventMap
+
+	// fp memoizes fingerprint for one registry generation: it keys
+	// every job's cache and memo records, and rendering the event rules
+	// per job is measurable.
+	fp atomic.Pointer[fingerprintMemo]
+}
+
+type fingerprintMemo struct {
+	gen int
+	s   string
 }
 
 func (c *Checker) compiled() (*spec.Property, *minic.EventMap) {
@@ -192,6 +203,16 @@ func generation() int {
 // diagnostic shape, declared spec/version, and — for property checkers —
 // the compiled event rules, whose plain-struct rendering is stable.
 func (c *Checker) fingerprint() string {
+	gen := generation()
+	if m := c.fp.Load(); m != nil && m.gen == gen {
+		return m.s
+	}
+	s := c.renderFingerprint()
+	c.fp.Store(&fingerprintMemo{gen: gen, s: s})
+	return s
+}
+
+func (c *Checker) renderFingerprint() string {
 	s := fmt.Sprintf("checker %s\ndoc %s\nsev %d mode %d\nmsg %s\nspec %s\nversion %s\n",
 		c.Name, c.Doc, c.Severity, c.Mode, c.Message, c.Spec, c.Version)
 	if c.NewProperty != nil && c.NewEvents != nil {

@@ -671,17 +671,15 @@ func leakDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result, ev
 		fn   string
 		line int
 	}
-	// Restrict candidate sites to functions in the entry's call-graph
+	// Candidate sites are the run's nodes — the entry's call-graph
 	// closure: for package-level resources (a shared semaphore, a pool)
 	// the same label is touched by unrelated functions, and the finding
 	// should point into the entry being reported.
-	inClosure := map[string]bool{}
-	for _, id := range pkg.Prog.Reachable(entry) {
-		inClosure[pkg.Prog.Funcs[id].Name] = true
-	}
 	sites := map[string]site{}
-	for _, n := range res.CFG().Nodes {
-		if n.Kind != minic.NAction || !inClosure[n.Fn] {
+	nodes := res.CFG().Nodes
+	for _, id := range res.Nodes() {
+		n := nodes[id]
+		if n.Kind != minic.NAction {
 			continue
 		}
 		ev, ok := events.Match(n.Call, n.AssignTo)

@@ -42,11 +42,12 @@ type memoKey struct {
 	checker string // checker fingerprint; "" for entry records
 	entry   string
 	summary string
-	// prog is the whole-program digest. Skeleton construction allocates
-	// a constraint variable per CFG node of the entire program and the
-	// property layer adds edges at every deferred call site, reachable
-	// from the entry or not — so both entry base stats and per-job solver
-	// deltas are pinned by global program shape, not by the entry's
+	// prog is the whole-program digest. A skeleton covers only the
+	// entry's call-graph closure, but it numbers the closure's variables
+	// in whole-program CFG order — function definition order, which the
+	// entry's summary does not pin — and solver work such as cycle
+	// elimination can follow that order, so entry base stats and per-job
+	// solver deltas are pinned by program layout, not by the entry's
 	// summary alone. Including prog makes a memo replay byte-identical to
 	// a fresh solve, which the summary-keyed disk records deliberately
 	// are not (they trade exact solver-size telemetry for cross-edit

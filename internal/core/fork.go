@@ -14,7 +14,8 @@ func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 // (appends reallocate, the reach index is copied on first insert) and
 // the dedup tables are shared through read-only base layers, so forking
 // costs one pass over the variable headers rather than a rebuild of the
-// derivation.
+// derivation. The fork's variable table leaves headroom, so the layer's
+// first new variables do not reallocate it.
 //
 // Contract: the receiver must be quiescent — Solve has drained its work
 // queue — and must not be mutated (or queried through PNReach, whose
@@ -49,7 +50,9 @@ func (s *System) Fork(alg Algebra) *System {
 		nCollapsed:    s.nCollapsed,
 		metrics:       s.metrics,
 	}
-	f.vars = make([]varData, len(s.vars))
+	// Headroom for the layer's own variables, mostly projection-merge
+	// intermediates.
+	f.vars = make([]varData, len(s.vars), len(s.vars)+len(s.vars)/4+8)
 	copy(f.vars, s.vars)
 	for i := range f.vars {
 		vd := &f.vars[i]

@@ -131,6 +131,10 @@ type Function struct {
 	Line int
 	// Def is the kernel definition.
 	Def *FuncDef
+	// Nodes is the half-open ID range [Nodes[0], Nodes[1]) of the
+	// function's nodes in Program.Graph, entry marker first: the CFG lays
+	// each function out contiguously, in definition order.
+	Nodes [2]int
 	// Callees lists the IDs of defined functions this one calls or
 	// spawns, sorted and deduplicated.
 	Callees []int
@@ -163,9 +167,8 @@ type Program struct {
 	SCCs [][]int
 	// Digest fingerprints the whole program: every function's name and
 	// fingerprint in definition order. Anything that depends on global
-	// program shape — such as skeleton construction, which allocates a
-	// constraint variable per CFG node of the entire program — is pinned
-	// by this, not by any single entry's Summary.
+	// program shape, rather than on one entry's call-graph closure, is
+	// pinned by this, not by any single entry's Summary.
 	Digest Digest
 	// Meta carries frontend notes and suppression directives.
 	Meta
@@ -212,14 +215,19 @@ func build(mc *minic.Program, meta Meta) (*Program, error) {
 	// function, read off the CFG so resolution matches the analyses.
 	calleeSet := make([]map[int]bool, len(p.Funcs))
 	for _, n := range cfg.Nodes {
+		from, ok := index[n.Fn]
+		if !ok {
+			continue
+		}
+		if f := p.Funcs[from]; n.Kind == NEntry {
+			f.Nodes = [2]int{n.ID, n.ID + 1}
+		} else {
+			f.Nodes[1] = n.ID + 1
+		}
 		if (n.Kind != NAction && n.Kind != NSpawn) || n.Call == nil {
 			continue
 		}
 		def, ok := mc.ByName[n.Call.Name]
-		if !ok {
-			continue
-		}
-		from, ok := index[n.Fn]
 		if !ok {
 			continue
 		}

@@ -84,6 +84,31 @@ func TestCallGraphAndSCCs(t *testing.T) {
 	}
 }
 
+// Function node ranges tile the CFG in definition order, entry marker
+// first, and hold exactly the function's nodes.
+func TestFunctionNodeRanges(t *testing.T) {
+	p := mustLower(t, diamondSrc)
+	next := 0
+	for _, f := range p.Funcs {
+		lo, hi := f.Nodes[0], f.Nodes[1]
+		if lo != next || hi <= lo {
+			t.Fatalf("%s: node range [%d,%d), want to start at %d", f.Name, lo, hi, next)
+		}
+		if lo != p.Graph.Entry[f.Name] {
+			t.Fatalf("%s: range starts at %d, entry marker is %d", f.Name, lo, p.Graph.Entry[f.Name])
+		}
+		for id := lo; id < hi; id++ {
+			if fn := p.Graph.Nodes[id].Fn; fn != f.Name {
+				t.Fatalf("%s: node %d belongs to %s", f.Name, id, fn)
+			}
+		}
+		next = hi
+	}
+	if next != len(p.Graph.Nodes) {
+		t.Fatalf("ranges cover %d of %d nodes", next, len(p.Graph.Nodes))
+	}
+}
+
 func TestFingerprintStability(t *testing.T) {
 	a := mustLower(t, diamondSrc)
 	b := mustLower(t, diamondSrc)

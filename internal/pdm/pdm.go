@@ -36,17 +36,29 @@ type Result struct {
 	PN *core.PNResult
 	// Violations, deduplicated and ordered by line.
 	Violations []Violation
-	// NodeVar maps CFG node IDs to their set variables.
+	// NodeVar maps CFG node IDs to their set variables; nodes outside the
+	// entry's call-graph closure map to NoVar.
 	NodeVar []core.VarID
 
-	prog      *minic.Program
-	cfg       *minic.CFG
-	prop      *spec.Property
-	pcNode    core.CNode
-	envTab    *subst.Table
-	nodeEvent map[int]core.Annot
-	alg       core.Algebra
-	explain   bool
+	prog    *minic.Program
+	cfg     *minic.CFG
+	nodes   []int // the closure's node IDs, ascending; nodes[v] holds VarID v
+	prop    *spec.Property
+	envTab  *subst.Table
+	layered []layeredEvent // ascending node IDs
+	alg     core.Algebra
+	explain bool
+
+	// varNodes maps representatives back to CFG nodes; built on first
+	// use, since only violation traces and provenance need it.
+	varNodes map[core.VarID][]int
+}
+
+// layeredEvent is a deferred statement the property classified as an
+// event, with the annotation of its edges.
+type layeredEvent struct {
+	id int
+	a  core.Annot
 }
 
 // Violation is one property violation.
@@ -131,16 +143,9 @@ func Check(prog *minic.Program, prop *spec.Property, events *minic.EventMap, ent
 // event's annotation composes some non-accepting pc occurrence into an
 // accepting one — and attach a witness trace.
 func (r *Result) collectViolations(alg core.Algebra) {
-	varNodes := r.varNodes()
 	seen := map[string]bool{}
-	for _, n := range r.cfg.Nodes {
-		if n.Kind != minic.NAction {
-			continue
-		}
-		ev, ok := r.nodeEvent[n.ID]
-		if !ok {
-			continue
-		}
+	for _, le := range r.layered {
+		n, ev := r.cfg.Nodes[le.id], le.a
 		v := r.NodeVar[n.ID]
 		for _, a := range r.PN.At(v) {
 			comp := alg.Then(a, ev)
@@ -155,7 +160,7 @@ func (r *Result) collectViolations(alg core.Algebra) {
 					continue
 				}
 				seen[key] = true
-				tr := r.tracePoints(steps, varNodes)
+				tr := r.tracePoints(steps)
 				if len(tr) == 0 || tr[len(tr)-1] != (TracePoint{Fn: n.Fn, Line: n.Line}) {
 					tr = append(tr, TracePoint{Fn: n.Fn, Line: n.Line})
 				}
@@ -163,7 +168,7 @@ func (r *Result) collectViolations(alg core.Algebra) {
 				if r.explain {
 					// The derivation chain behind the violating fact, then
 					// the event transition that makes it accepting.
-					prov = r.provSteps(steps, varNodes)
+					prov = r.provSteps(steps)
 					prov = append(prov, ProvStep{
 						Fn: n.Fn, Line: n.Line, Rule: "event", Annot: alg.String(comp),
 					})
@@ -281,10 +286,10 @@ func (r *Result) labelsOf(a core.Annot) []string {
 // Hops at solver-internal variables (projection-merge intermediates and
 // the like) carry no program point and are dropped; representatives
 // merged by cycle elimination map to their lowest-numbered CFG node.
-func (r *Result) provSteps(steps []core.TraceStep, varNodes map[core.VarID][]int) []ProvStep {
+func (r *Result) provSteps(steps []core.TraceStep) []ProvStep {
 	var out []ProvStep
 	for _, st := range core.ProvFromTrace(steps) {
-		ns := varNodes[st.Var]
+		ns := r.nodesOf(st.Var)
 		if len(ns) == 0 {
 			continue
 		}
@@ -302,11 +307,10 @@ func (r *Result) ExitProvenance(entry, label string) []ProvStep {
 	if !r.explain {
 		return nil
 	}
-	if entry == "" {
-		entry = "main"
+	exitID, exitVar, ok := r.exitNode(entry)
+	if !ok {
+		return nil
 	}
-	exitVar := r.NodeVar[r.cfg.Exit[entry]]
-	varNodes := r.varNodes()
 	for _, a := range r.PN.At(exitVar) {
 		if !r.accepting(a) {
 			continue
@@ -322,8 +326,8 @@ func (r *Result) ExitProvenance(entry, label string) []ProvStep {
 			continue
 		}
 		steps := r.PN.Trace(r.Sys.Rep(exitVar), a)
-		prov := r.provSteps(steps, varNodes)
-		exitNode := r.cfg.Nodes[r.cfg.Exit[entry]]
+		prov := r.provSteps(steps)
+		exitNode := r.cfg.Nodes[exitID]
 		return append(prov, ProvStep{
 			Fn: exitNode.Fn, Line: exitNode.Line, Rule: "exit", Annot: r.alg.String(a),
 		})
@@ -331,10 +335,10 @@ func (r *Result) ExitProvenance(entry, label string) []ProvStep {
 	return nil
 }
 
-func (r *Result) tracePoints(steps []core.TraceStep, varNodes map[core.VarID][]int) []TracePoint {
+func (r *Result) tracePoints(steps []core.TraceStep) []TracePoint {
 	var out []TracePoint
 	for _, st := range steps {
-		ns := varNodes[st.Var]
+		ns := r.nodesOf(st.Var)
 		if len(ns) == 0 {
 			continue
 		}
@@ -344,26 +348,37 @@ func (r *Result) tracePoints(steps []core.TraceStep, varNodes map[core.VarID][]i
 	return out
 }
 
-// varNodes maps representative variables back to CFG nodes (several nodes
-// can share one representative after cycle elimination); node lists are
-// sorted ascending.
-func (r *Result) varNodes() map[core.VarID][]int {
-	m := map[core.VarID][]int{}
-	for id, v := range r.NodeVar {
-		rep := r.repOf(v)
-		m[rep] = append(m[rep], id)
+// nodesOf returns the CFG nodes whose variables have representative rep
+// (several nodes can share one after cycle elimination), ascending.
+func (r *Result) nodesOf(rep core.VarID) []int {
+	if r.varNodes == nil {
+		r.varNodes = map[core.VarID][]int{}
+		for v, id := range r.nodes {
+			rep := r.Sys.Rep(core.VarID(v))
+			r.varNodes[rep] = append(r.varNodes[rep], id)
+		}
 	}
-	for _, ns := range m {
-		sort.Ints(ns)
-	}
-	return m
+	return r.varNodes[rep]
 }
 
-// repOf resolves a variable to its representative by probing the PN
-// result (which normalizes), falling back to identity mapping.
-func (r *Result) repOf(v core.VarID) core.VarID {
-	return r.Sys.Rep(v)
+// exitNode returns entry's exit node ("" means main) and its variable;
+// ok is false when entry is undefined or outside the run's closure.
+func (r *Result) exitNode(entry string) (id int, v core.VarID, ok bool) {
+	if entry == "" {
+		entry = "main"
+	}
+	fd, defined := r.prog.ByName[entry]
+	if !defined {
+		return 0, NoVar, false
+	}
+	id = r.cfg.Exit[fd.Name]
+	v = r.NodeVar[id]
+	return id, v, v != NoVar
 }
+
+// Nodes returns the CFG node IDs the run covers — those of the functions
+// in the entry's call-graph closure — ascending.
+func (r *Result) Nodes() []int { return r.nodes }
 
 // OpenInstancesAtExit returns, for parametric resource properties such as
 // the file-state automaton of Figure 5, the labels whose automaton copy
@@ -377,11 +392,12 @@ func (r *Result) OpenInstancesAtExit(entry string) []string {
 // OpenInstancesAtExitDetail is OpenInstancesAtExit plus, per label, whether
 // the verdict is a MAY verdict: every accepting valuation reaching the exit
 // for that label rests on a saturated counter or relation tracker state.
+// Entries outside the run's closure have no exit fact: nil, nil.
 func (r *Result) OpenInstancesAtExitDetail(entry string) ([]string, map[string]bool) {
-	if entry == "" {
-		entry = "main"
+	_, exitVar, ok := r.exitNode(entry)
+	if !ok {
+		return nil, nil
 	}
-	exitVar := r.NodeVar[r.cfg.Exit[entry]]
 	may := map[string]bool{}
 	for _, a := range r.PN.At(exitVar) {
 		if !r.accepting(a) {

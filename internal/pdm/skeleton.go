@@ -25,18 +25,33 @@ import (
 // one entry function. It is immutable after BuildSkeleton and safe to
 // share: Check forks the solved base system per property, so any number
 // of goroutines may call Check concurrently.
+//
+// A skeleton covers only the CFG nodes of functions in the entry's
+// call-graph closure (ir.Program.Reachable), the program that runs from
+// the entry: pc is seeded at the entry, and every constraint a node
+// contributes — intraprocedural steps, calls, spawns — targets nodes of
+// the same closure, so no fact can leave it. Nodes outside the closure
+// get no variable; they map to NoVar.
 type Skeleton struct {
 	prog  *minic.Program
 	cfg   *minic.CFG
 	entry string
 
-	sys     *core.System // frozen: forked, never mutated, after build
+	sys *core.System // frozen: forked, never mutated, after build
+	// nodeVar maps every CFG node ID to its variable, NoVar outside the
+	// closure. nodes lists the closure's node IDs ascending and is its
+	// inverse: the variable of nodes[i] is VarID(i).
 	nodeVar []core.VarID
+	nodes   []int
 	pc      core.CNode
 	base    core.Stats
 
-	deferred []deferredNode
+	deferred []deferredNode // ascending node IDs
 }
+
+// NoVar is the NodeVar entry of a CFG node outside the entry's
+// call-graph closure: such nodes have no constraint variable.
+const NoVar core.VarID = -1
 
 // deferredNode is a statement whose constraint form depends on the
 // property's event map (event edge vs. call constructor vs. plain
@@ -63,8 +78,9 @@ func (skelAlgebra) String(a Annot) string  { return "ε" }
 // Annot aliases core.Annot for the local algebra methods.
 type Annot = core.Annot
 
-// BuildSkeleton translates the property-independent constraints of p
-// reachable from entry ("" means main) and solves them. The IR program
+// BuildSkeleton translates the property-independent constraints of the
+// functions in entry's call-graph closure ("" means main) and solves
+// them; its size scales with the closure, not the program. The IR program
 // carries the kernel form and the prebuilt whole-program CFG, so a
 // driver sharing one *ir.Program across entries shares the CFG too.
 // maybeEvent reports whether some event map the skeleton will later be
@@ -86,30 +102,30 @@ func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 	// uniquely named methods); Entry/Exit are keyed by canonical names.
 	entry = entryDef.Name
 
+	nodes := closureNodes(p, entry)
+
 	sig := terms.NewSignature()
 	pcCons := sig.MustDeclare("pc", 0)
 
 	sys := core.NewSystem(skelAlgebra{}, sig, opts)
-	sys.ReserveVars(len(cfg.Nodes) + len(cfg.Nodes)/8)
+	sys.ReserveVars(len(nodes) + len(nodes)/8)
 	nodeVar := make([]core.VarID, len(cfg.Nodes))
-	for _, n := range cfg.Nodes {
-		nodeVar[n.ID] = sys.Anon()
+	for i := range nodeVar {
+		nodeVar[i] = NoVar
+	}
+	for _, id := range nodes {
+		nodeVar[id] = sys.Anon()
 	}
 	// CFG-node variables render their diagnostic names on demand instead
 	// of interning ~one formatted string per program point per property.
-	sys.SetNameFn(func(v core.VarID) string {
-		if int(v) < len(cfg.Nodes) {
-			n := cfg.Nodes[v]
-			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
-		}
-		return ""
-	})
+	sys.SetNameFn(nodeNamer(cfg, nodes))
 	pc := sys.Constant(pcCons)
 	sys.AddLowerE(pc, nodeVar[cfg.Entry[entry]])
 
-	sk := &Skeleton{prog: prog, cfg: cfg, entry: entry, sys: sys, nodeVar: nodeVar, pc: pc}
-	for _, n := range cfg.Nodes {
-		sv := nodeVar[n.ID]
+	sk := &Skeleton{prog: prog, cfg: cfg, entry: entry, sys: sys, nodeVar: nodeVar, nodes: nodes, pc: pc}
+	for _, id := range nodes {
+		n := cfg.Nodes[id]
+		sv := nodeVar[id]
 		if n.Kind == minic.NSpawn && n.Call != nil {
 			// A goroutine spawn: the spawned function starts from the
 			// spawn point's annotations (so events in its body are
@@ -158,6 +174,36 @@ func BuildSkeleton(p *ir.Program, entry string, opts core.Options,
 	sys.Freeze()
 	sk.base = sys.Stats()
 	return sk, nil
+}
+
+// closureNodes lists the CFG node IDs of the functions in entry's
+// call-graph closure, ascending: Reachable lists function IDs ascending,
+// and the CFG lays functions out in ID order.
+func closureNodes(p *ir.Program, entry string) []int {
+	fns := p.Reachable(entry)
+	size := 0
+	for _, id := range fns {
+		size += p.Funcs[id].Nodes[1] - p.Funcs[id].Nodes[0]
+	}
+	nodes := make([]int, 0, size)
+	for _, id := range fns {
+		for n := p.Funcs[id].Nodes[0]; n < p.Funcs[id].Nodes[1]; n++ {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
+
+// nodeNamer renders the variable of CFG node nodes[v] as S<id>@fn:line;
+// other variables fall back to the solver's default naming.
+func nodeNamer(cfg *minic.CFG, nodes []int) func(core.VarID) string {
+	return func(v core.VarID) string {
+		if int(v) < len(nodes) {
+			n := cfg.Nodes[nodes[v]]
+			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
+		}
+		return ""
+	}
 }
 
 // Entry returns the canonical entry function name.
@@ -244,7 +290,7 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 		}
 		pruned = prunedLabels(prop, matched)
 	}
-	nodeEvent := map[int]core.Annot{}
+	var layered []layeredEvent
 	for _, d := range sk.deferred {
 		n := sk.cfg.Nodes[d.id]
 		sv := sk.nodeVar[n.ID]
@@ -262,7 +308,7 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 			if err != nil {
 				return nil, err
 			}
-			nodeEvent[n.ID] = a
+			layered = append(layered, layeredEvent{id: n.ID, a: a})
 			for _, m := range n.Succs {
 				sys.AddVar(sv, sk.nodeVar[m], a)
 				if o != nil && o.PDM != nil {
@@ -288,17 +334,17 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 	}
 
 	res := &Result{
-		Sys:       sys,
-		Base:      sk.base,
-		NodeVar:   sk.nodeVar,
-		prog:      sk.prog,
-		cfg:       sk.cfg,
-		prop:      prop,
-		pcNode:    sk.pc,
-		envTab:    envTab,
-		nodeEvent: nodeEvent,
-		alg:       alg,
-		explain:   o != nil && o.Explain,
+		Sys:     sys,
+		Base:    sk.base,
+		NodeVar: sk.nodeVar,
+		prog:    sk.prog,
+		cfg:     sk.cfg,
+		nodes:   sk.nodes,
+		prop:    prop,
+		envTab:  envTab,
+		layered: layered,
+		alg:     alg,
+		explain: o != nil && o.Explain,
 	}
 	res.PN = sys.PNReach(sk.pc)
 	res.collectViolations(alg)

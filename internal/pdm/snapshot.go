@@ -5,6 +5,7 @@ import (
 
 	"rasc/internal/core"
 	"rasc/internal/ir"
+	"rasc/internal/minic"
 	"rasc/internal/snapshot"
 	"rasc/internal/terms"
 )
@@ -20,9 +21,12 @@ const (
 	secPDMMeta     = 100 // pc CNode, entry strRef
 	secPDMStrBlob  = 101
 	secPDMStrOffs  = 102
-	secPDMNodeVar  = 103 // VarID per CFG node
-	secPDMDeferred = 104 // (nodeID, calleeRef+1 or 0, consID) triples
+	secPDMNodeVar  = 103 // VarID per CFG node, snapNoVar outside the closure
+	secPDMDeferred = 104 // (nodeID, calleeRef+1 or 0, consID) triples, ascending nodeID
 )
+
+// snapNoVar encodes NoVar in the node-var section.
+const snapNoVar = ^uint32(0)
 
 // Snapshot serializes the skeleton — the frozen solved System plus the
 // skeleton-layer tables — into a self-validating container. The result
@@ -34,7 +38,10 @@ func (sk *Skeleton) Snapshot() []byte {
 	w.Uint32s(secPDMMeta, []uint32{uint32(sk.pc), sb.Ref(sk.entry)})
 	nodeVar := make([]uint32, len(sk.nodeVar))
 	for i, v := range sk.nodeVar {
-		nodeVar[i] = uint32(v)
+		nodeVar[i] = snapNoVar
+		if v != NoVar {
+			nodeVar[i] = uint32(v)
+		}
 	}
 	w.Uint32s(secPDMNodeVar, nodeVar)
 	def := make([]uint32, 0, 3*len(sk.deferred))
@@ -112,6 +119,13 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		return nil, bad("snapshot is for entry %q, want %q", snapEntry, entry)
 	}
 
+	// The node-var section must be exactly the layout BuildSkeleton
+	// produces: the closure's nodes own variables 0..k-1 in ascending
+	// node order, and every other node holds the sentinel.
+	nodes := closureNodes(p, entry)
+	if len(nodes) > sys.NumVars() {
+		return nil, bad("closure has %d nodes, system has %d vars", len(nodes), sys.NumVars())
+	}
 	nodeVarWords, err := r.Uint32s(secPDMNodeVar)
 	if err != nil {
 		return nil, err
@@ -120,11 +134,24 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		return nil, bad("node-var section has %d entries, CFG has %d nodes", len(nodeVarWords), len(cfg.Nodes))
 	}
 	nodeVar := make([]core.VarID, len(nodeVarWords))
+	next := 0 // index into nodes of the next closure node
 	for i, v := range nodeVarWords {
-		if int(v) >= sys.NumVars() {
+		inClosure := next < len(nodes) && nodes[next] == i
+		switch {
+		case v == snapNoVar && !inClosure:
+			nodeVar[i] = NoVar
+			continue
+		case v == snapNoVar:
+			return nil, bad("closure node %d has no variable", i)
+		case int(v) >= sys.NumVars():
 			return nil, bad("node %d maps to variable %d out of range (%d vars)", i, v, sys.NumVars())
+		case !inClosure:
+			return nil, bad("node %d outside the closure maps to variable %d", i, v)
+		case int(v) != next:
+			return nil, bad("node %d maps to variable %d, want %d", i, v, next)
 		}
 		nodeVar[i] = core.VarID(v)
+		next++
 	}
 
 	def, err := r.Uint32s(secPDMDeferred)
@@ -137,11 +164,21 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 	deferred := make([]deferredNode, len(def)/3)
 	for i := range deferred {
 		id, calleeRef, cons := def[3*i], def[3*i+1], def[3*i+2]
-		if int(id) >= len(cfg.Nodes) {
-			return nil, bad("deferred node %d out of CFG range", id)
+		if int(id) >= len(cfg.Nodes) || nodeVar[id] == NoVar {
+			return nil, bad("deferred node %d outside the closure", id)
 		}
-		if cfg.Nodes[id].Call == nil {
+		if i > 0 && int(id) <= deferred[i-1].id {
+			return nil, bad("deferred node %d out of order", id)
+		}
+		n := cfg.Nodes[id]
+		if n.Kind != minic.NAction || n.Call == nil {
 			return nil, bad("deferred node %d is not a call statement", id)
+		}
+		// The callee must be the call's own resolution: CheckObs wires
+		// the call to that function's entry and exit.
+		want := ""
+		if fd, ok := prog.ByName[n.Call.Name]; ok {
+			want = fd.Name
 		}
 		d := deferredNode{id: int(id)}
 		if calleeRef != 0 {
@@ -149,35 +186,22 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 			if err != nil {
 				return nil, err
 			}
-			fd, ok := prog.ByName[callee]
-			if !ok || fd.Name != callee {
-				return nil, bad("deferred node %d names undefined callee %q", id, callee)
-			}
-			if _, ok := cfg.Entry[callee]; !ok {
-				return nil, bad("callee %q has no CFG entry", callee)
-			}
-			if _, ok := cfg.Exit[callee]; !ok {
-				return nil, bad("callee %q has no CFG exit", callee)
-			}
+			d.callee = callee
 			if int(cons) >= sys.Sig.Size() || sys.Sig.Arity(terms.ConsID(cons)) != 1 {
 				return nil, bad("deferred node %d has invalid call constructor %d", id, cons)
 			}
-			d.callee = callee
 			d.cons = terms.ConsID(cons)
+		}
+		if d.callee != want {
+			return nil, bad("deferred node %d names callee %q, call resolves to %q", id, d.callee, want)
 		}
 		deferred[i] = d
 	}
 
 	// Reinstall the on-demand renderer BuildSkeleton uses for CFG-node
 	// variables; closures do not serialize, but this one is derived
-	// entirely from the CFG.
-	sys.SetNameFn(func(v core.VarID) string {
-		if int(v) < len(cfg.Nodes) {
-			n := cfg.Nodes[v]
-			return fmt.Sprintf("S%d@%s:%d", n.ID, n.Fn, n.Line)
-		}
-		return ""
-	})
+	// entirely from the CFG and the closure.
+	sys.SetNameFn(nodeNamer(cfg, nodes))
 
 	return &Skeleton{
 		prog:     prog,
@@ -185,6 +209,7 @@ func LoadSkeleton(data []byte, p *ir.Program, entry string, opts core.Options) (
 		entry:    entry,
 		sys:      sys,
 		nodeVar:  nodeVar,
+		nodes:    nodes,
 		pc:       core.CNode(pc),
 		base:     sys.Stats(),
 		deferred: deferred,

@@ -130,6 +130,56 @@ func TestSkeletonSnapshotKeyMismatches(t *testing.T) {
 	}
 }
 
+// A scoped skeleton — helper's closure leaves main's nodes without
+// variables — round-trips through its sentinel entries, and the decoder
+// rejects a node-var section that disagrees with the entry's closure.
+func TestSkeletonSnapshotSentinel(t *testing.T) {
+	prog, err := ir.FromMiniC(snapTestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := BuildSkeleton(prog, "helper", core.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outside, inside int // a node outside helper's closure, one inside
+	for id, v := range live.nodeVar {
+		if v == NoVar {
+			outside = id
+		} else {
+			inside = id
+		}
+	}
+	if live.nodeVar[outside] != NoVar {
+		t.Fatal("helper's skeleton covers every node")
+	}
+	data := live.Snapshot()
+	loaded, err := LoadSkeleton(data, prog, "helper", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.nodeVar, live.nodeVar) || !reflect.DeepEqual(loaded.nodes, live.nodes) {
+		t.Fatal("node-var map does not round-trip")
+	}
+	if got, want := loaded.sys.VarName(live.nodeVar[inside]), live.sys.VarName(live.nodeVar[inside]); got != want {
+		t.Fatalf("loaded skeleton renders %q, want %q", got, want)
+	}
+
+	for name, mutate := range map[string]func(nv []core.VarID){
+		"sentinel on a closure node":     func(nv []core.VarID) { nv[inside] = NoVar },
+		"variable outside the closure":   func(nv []core.VarID) { nv[outside] = 0 },
+		"variable out of range":          func(nv []core.VarID) { nv[inside] = core.VarID(live.sys.NumVars()) },
+		"closure variables out of order": func(nv []core.VarID) { nv[inside] = nv[inside] - 1 },
+	} {
+		bad := *live
+		bad.nodeVar = append([]core.VarID(nil), live.nodeVar...)
+		mutate(bad.nodeVar)
+		if _, err := LoadSkeleton(bad.Snapshot(), prog, "helper", core.Options{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // Version-skewed containers are classified as snapshot.ErrVersion so
 // cache layers can count them separately from corruption.
 func TestSkeletonSnapshotVersionSkew(t *testing.T) {
@@ -183,11 +233,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// helper's skeleton is scoped: main's nodes carry the sentinel.
+	scoped, err := BuildSkeleton(prog, "helper", core.Options{}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	seed := sk.Snapshot()
 	f.Add(seed, uint32(0), byte(0))
 	f.Add(seed, uint32(4), byte(0xff))
 	f.Add(seed[:len(seed)/2], uint32(9), byte(1))
 	f.Add(seed, uint32(48), byte(0x80))
+	scopedSeed := scoped.Snapshot()
+	f.Add(scopedSeed, uint32(0), byte(0))
+	f.Add(scopedSeed, uint32(len(scopedSeed)-8), byte(0xff))
 
 	prop := spec.MustCompile(`
 start state Closed :
@@ -209,20 +267,28 @@ accept state Error;
 			mut[int(off)%len(mut)] ^= flip
 			data = snapshot.Reseal(mut)
 		}
-		loaded, err := LoadSkeleton(data, prog, "main", core.Options{})
-		if err != nil {
-			return
-		}
-		// A mutation that survives both integrity and structural
-		// validation must still behave: checking a property may give any
-		// verdict, but it must not crash.
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("Check panicked on decoded mutant: %v", r)
+		for _, entry := range []string{"main", "helper"} {
+			loaded, err := LoadSkeleton(data, prog, entry, core.Options{})
+			if err != nil {
+				continue
 			}
-		}()
-		if _, err := loaded.Check(prop, events); err != nil {
-			_ = fmt.Sprintf("%v", err)
+			// A mutation that survives both integrity and structural
+			// validation must still behave: checking a property may give
+			// any verdict, but it must not crash.
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Check panicked on decoded %s mutant: %v", entry, r)
+					}
+				}()
+				res, err := loaded.Check(prop, events)
+				if err != nil {
+					_ = fmt.Sprintf("%v", err)
+					return
+				}
+				res.OpenInstancesAtExitDetail("main")
+				res.OpenInstancesAtExitDetail("helper")
+			}()
 		}
 	})
 }

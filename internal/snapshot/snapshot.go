@@ -38,7 +38,7 @@ import (
 // to the section layout of any producer (core, pdm) must bump it; a
 // reader seeing a different version fails with ErrVersion, which cache
 // layers treat as a miss (demote to cold build), never an error.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const (
 	magic       = "RSNP"
