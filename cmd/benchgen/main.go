@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"rasc/internal/analysis"
@@ -123,68 +122,48 @@ func main() {
 	}
 }
 
-// benchResult is the schema of the -bench-json report. Solver totals
-// come from the driver's summed per-job constraint-system stats; the
-// model-based checkers (race, lockorder) contribute findings but no
-// constraints. Every field except the wall times is deterministic for a
-// fixed seed: slices are sorted, and by_severity relies on
-// encoding/json's sorted map-key rendering.
+// benchResult is the schema of the -bench-json report. Every field
+// except the wall times is deterministic for a fixed seed: slices are
+// sorted, and by_severity relies on encoding/json's sorted map-key
+// rendering.
 type benchResult struct {
 	Corpus struct {
 		Seed      int64 `json:"seed"`
 		Files     int   `json:"files"`
 		Functions int   `json:"functions"`
 	} `json:"corpus"`
-	WallMS     float64              `json:"wall_ms"`
-	Jobs       int                  `json:"jobs"`
-	Checkers   []string             `json:"checkers"`
-	Findings   int                  `json:"findings"`
-	BySeverity map[string]int       `json:"by_severity"`
-	Solver     analysis.SolverStats `json:"solver"`
+	WallMS     float64        `json:"wall_ms"`
+	Jobs       int            `json:"jobs"`
+	Checkers   []string       `json:"checkers"`
+	Findings   int            `json:"findings"`
+	BySeverity map[string]int `json:"by_severity"`
 	// Cache measures the incremental cache: a cold run populating a fresh
 	// cache directory, then a warm run over an identical fresh Package.
-	// The warm run must hit on every lookup, re-solve zero functions and
-	// reproduce the cold run's findings byte-for-byte (enforced, not just
-	// recorded).
+	// The warm run must hit on every lookup and reproduce the cold run's
+	// findings byte-for-byte (enforced, not just recorded).
 	Cache struct {
-		ColdWallMS            float64 `json:"cold_wall_ms"`
-		WarmWallMS            float64 `json:"warm_wall_ms"`
-		Speedup               float64 `json:"speedup"`
-		ColdResolvedFunctions int     `json:"cold_resolved_functions"`
-		WarmResolvedFunctions int     `json:"warm_resolved_functions"`
-		WarmHits              int     `json:"warm_hits"`
-		WarmMisses            int     `json:"warm_misses"`
-		WarmIdentical         bool    `json:"warm_identical"`
+		ColdWallMS    float64 `json:"cold_wall_ms"`
+		WarmWallMS    float64 `json:"warm_wall_ms"`
+		Speedup       float64 `json:"speedup"`
+		WarmHits      int     `json:"warm_hits"`
+		WarmMisses    int     `json:"warm_misses"`
+		WarmIdentical bool    `json:"warm_identical"`
 		// WarmStores counts records written during the warm run (0 on a
 		// fully cached run) and ColdStores during the cold run, both from
 		// the observability cache counters.
 		ColdStores int64 `json:"cold_stores"`
 		WarmStores int64 `json:"warm_stores"`
-		// The snapshot-cold scenario is a fresh process image (fresh
-		// Package, zero in-memory reuse) over a populated skeleton+result
-		// cache: job results are served from the result cache, and every
-		// entry's solved constraint skeleton is reconstructed from its
-		// frozen snapshot — the per-entry stats memos are dropped first so
-		// the snapshot decode path genuinely runs instead of being
-		// shadowed by the memo. Findings must again be byte-identical to
-		// the cold run, with every skeleton a snapshot hit (enforced).
-		SnapshotColdWallMS float64 `json:"snapshot_cold_wall_ms"`
-		// SnapshotColdSpeedup is cold_wall_ms / snapshot_cold_wall_ms.
-		SnapshotColdSpeedup float64 `json:"snapshot_cold_speedup"`
-		SnapshotHits        int     `json:"snapshot_hits"`
-		SnapshotMisses      int     `json:"snapshot_misses"`
-		SnapshotIdentical   bool    `json:"snapshot_identical"`
 	} `json:"cache"`
 	// Server measures the resident-engine (gocheckd) hot path over the
 	// same corpus: an analysis.Engine backed by the populated cache
 	// directory takes a full seed push, then a stream of single-file
 	// edit requests toggling one tick function's body between two
-	// variants. Once both variants have been seen, every job replays
-	// from the engine's in-memory memo, so the steady-state latency is
-	// what a warm gocheckd client pays per request. The tick function is
-	// clean and excluded from the entry set, so every response must
-	// reproduce the cold run's findings byte-for-byte, and steady-state
-	// ticks must be fully memoized — both enforced, not just recorded.
+	// variants. The tick function is clean and excluded from the entry
+	// set, so no entry's summary changes and every job replays from the
+	// engine's in-memory memo: the latency is what a warm gocheckd
+	// client pays per request. Every response must reproduce the cold
+	// run's findings byte-for-byte, and every tick must be served
+	// without a disk miss — both enforced, not just recorded.
 	Server struct {
 		Ticks      int     `json:"ticks"`
 		P50MS      float64 `json:"server_p50_ms"`
@@ -205,10 +184,9 @@ type benchResult struct {
 		TelemetryIdentical   bool    `json:"telemetry_identical"`
 	} `json:"server"`
 	// SolverMetrics are the internal/obs hook counters from the main
-	// (cacheless) run: solver work beyond the System-size totals in
-	// "solver". All are deterministic for a fixed seed — each job solves
-	// on its own System with a deterministic worklist, and summing across
-	// concurrently finishing jobs is order-independent.
+	// (cacheless) run. All are deterministic for a fixed seed — each job
+	// solves on its own System with a deterministic worklist, and summing
+	// across concurrently finishing jobs is order-independent.
 	SolverMetrics struct {
 		WorklistPushes    int64 `json:"worklist_pushes"`
 		WorklistHighWater int64 `json:"worklist_high_water"`
@@ -314,7 +292,6 @@ func runBench(path string, seed int64, files, functions, stmts, unsafe int) erro
 	for _, d := range rep.Diagnostics {
 		out.BySeverity[d.Severity.String()]++
 	}
-	out.Solver = rep.Solver
 	sm := obs.NewSolverMetrics(reg) // interned: returns the run's instruments
 	pm := obs.NewPDMMetrics(reg)
 	out.SolverMetrics.WorklistPushes = sm.WorklistPushes.Value()
@@ -337,9 +314,8 @@ func runBench(path string, seed int64, files, functions, stmts, unsafe int) erro
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d findings over %d jobs in %.1f ms (cache: cold %.1f ms, snapshot-cold %.1f ms [%.1fx], warm %.1f ms [%.1fx]; server p50 %.1f ms p99 %.1f ms; telemetry p50 %.1f ms [%+.1f%%])\n",
+	fmt.Printf("wrote %s: %d findings over %d jobs in %.1f ms (cache: cold %.1f ms, warm %.1f ms [%.1fx]; server p50 %.1f ms p99 %.1f ms; telemetry p50 %.1f ms [%+.1f%%])\n",
 		path, out.Findings, out.Jobs, out.WallMS, out.Cache.ColdWallMS,
-		out.Cache.SnapshotColdWallMS, out.Cache.SnapshotColdSpeedup,
 		out.Cache.WarmWallMS, out.Cache.Speedup,
 		out.Server.P50MS, out.Server.P99MS,
 		out.Server.TelemetryP50MS, out.Server.TelemetryOverheadPct)
@@ -348,8 +324,8 @@ func runBench(path string, seed int64, files, functions, stmts, unsafe int) erro
 
 // runCacheBench measures the incremental cache on the same corpus: a
 // cold run into a fresh cache directory, then a warm run over a fresh
-// Package (no in-process skeleton reuse), checking the warm run skips
-// all solving and reproduces the findings exactly.
+// Package (no in-process skeleton reuse), checking the warm run misses
+// nothing and reproduces the findings exactly.
 func runCacheBench(out *benchResult, in []gosrc.File) error {
 	dir, err := os.MkdirTemp("", "benchgen-cache-")
 	if err != nil {
@@ -385,8 +361,6 @@ func runCacheBench(out *benchResult, in []gosrc.File) error {
 	if warmMS > 0 {
 		out.Cache.Speedup = coldMS / warmMS
 	}
-	out.Cache.ColdResolvedFunctions = cold.Cache.ResolvedFunctions
-	out.Cache.WarmResolvedFunctions = warm.Cache.ResolvedFunctions
 	out.Cache.WarmHits = warm.Cache.Hits
 	out.Cache.WarmMisses = warm.Cache.Misses
 	out.Cache.WarmIdentical = string(coldJSON) == string(warmJSON)
@@ -395,61 +369,23 @@ func runCacheBench(out *benchResult, in []gosrc.File) error {
 	if !out.Cache.WarmIdentical {
 		return fmt.Errorf("warm cached run changed the findings")
 	}
-	if warm.Cache.ResolvedFunctions != 0 || warm.Cache.Misses != 0 {
-		return fmt.Errorf("warm cached run was not fully cached: %d misses, %d functions re-solved",
-			warm.Cache.Misses, warm.Cache.ResolvedFunctions)
-	}
-
-	// Snapshot-cold: a fresh process image over the populated cache. The
-	// per-entry stats memos are removed so the solved skeletons must be
-	// reconstructed, which routes through the frozen-snapshot decoder; a
-	// run that never touches the snapshot tier would measure nothing.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "entry-") && strings.HasSuffix(e.Name(), ".json") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	snap, snapMS, err := run(obs.NewRegistry())
-	if err != nil {
-		return err
-	}
-	snapJSON, _ := json.Marshal(snap.Diagnostics)
-	out.Cache.SnapshotColdWallMS = snapMS
-	if snapMS > 0 {
-		out.Cache.SnapshotColdSpeedup = coldMS / snapMS
-	}
-	out.Cache.SnapshotHits = snap.Cache.SkeletonHits
-	out.Cache.SnapshotMisses = snap.Cache.SkeletonMisses
-	out.Cache.SnapshotIdentical = string(snapJSON) == string(coldJSON)
-	if !out.Cache.SnapshotIdentical {
-		return fmt.Errorf("snapshot-cold run changed the findings")
-	}
-	if snap.Cache.SkeletonHits == 0 || snap.Cache.SkeletonMisses != 0 || snap.Cache.SkeletonCorrupt != 0 {
-		return fmt.Errorf("snapshot-cold run did not decode every skeleton: hits=%d misses=%d corrupt=%d",
-			snap.Cache.SkeletonHits, snap.Cache.SkeletonMisses, snap.Cache.SkeletonCorrupt)
+	if warm.Cache.Misses != 0 {
+		return fmt.Errorf("warm cached run was not fully cached: %d misses", warm.Cache.Misses)
 	}
 
 	return runServerBench(out, in, cache, coldJSON)
 }
 
-// serverTicks is the number of timed warm-server requests. The first
-// two ticks introduce the two tick-function variants (memo misses that
-// replay from disk); the remaining ten are steady-state memo replays,
-// so the median lands on the resident hot path.
+// serverTicks is the number of timed warm-server requests, each a memo
+// replay after the seed push, so the median lands on the resident hot
+// path.
 const serverTicks = 12
 
 // runServerBench measures the resident-engine request latency: the
 // scenario a gocheckd client sees against a warm daemon. The engine
 // shares the populated cache directory; each tick upserts one file
 // whose single function alternates between two bodies, forcing a
-// re-fingerprint and a fresh whole-program digest without touching any
-// entry's summary.
+// re-lower and a re-fingerprint without touching any entry's summary.
 func runServerBench(out *benchResult, in []gosrc.File, cache *analysis.Cache, coldJSON []byte) error {
 	pkg, err := analysis.LoadFiles(in)
 	if err != nil {
@@ -553,11 +489,8 @@ func tickFile(i int) gosrc.File {
 }
 
 // tickOnce times one edit tick against eng. Every response must
-// reproduce coldJSON byte-for-byte, and steady-state ticks (both
-// variants resident, i > 2) must be fully memoized: once both variants
-// have been seen, a tick must never fall back to disk or re-solve
-// anything — the memo key (which includes the whole-program digest) has
-// been seen before.
+// reproduce coldJSON byte-for-byte without a disk miss: the tick edits
+// no entry's call tree, so every job's key was stored by the seed push.
 func tickOnce(eng *analysis.Engine, entries []string, i int, coldJSON []byte) (float64, error) {
 	start := time.Now()
 	rep, err := eng.Check(analysis.CheckRequest{
@@ -572,9 +505,8 @@ func tickOnce(eng *analysis.Engine, entries []string, i int, coldJSON []byte) (f
 	if string(tickJSON) != string(coldJSON) {
 		return 0, fmt.Errorf("server tick %d changed the findings", i)
 	}
-	if i > 2 && rep.Cache != nil && (rep.Cache.Misses != 0 || rep.Cache.ResolvedFunctions != 0) {
-		return 0, fmt.Errorf("server tick %d was not fully memoized: %d misses, %d functions re-solved",
-			i, rep.Cache.Misses, rep.Cache.ResolvedFunctions)
+	if rep.Cache != nil && rep.Cache.Misses != 0 {
+		return 0, fmt.Errorf("server tick %d missed the cache %d times", i, rep.Cache.Misses)
 	}
 	return ms, nil
 }

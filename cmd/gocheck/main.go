@@ -8,7 +8,7 @@
 //
 //	gocheck [-checkers all|name,...] [-entry fn,...]
 //	        [-format text|json|sarif|github] [-fail-on error|warning|note]
-//	        [-parallel N] [-cache-dir dir] [-skeleton-cache=false]
+//	        [-parallel N] [-cache-dir dir]
 //	        [-trace-out f.json] [-metrics-json f.json] [-explain] [-progress]
 //	        [-cpuprofile f.prof] [-memprofile f.prof] path...
 //	gocheck -server addr [-program name] [-server-timeout 30s] path...
@@ -29,12 +29,8 @@
 // package re-analyzes from disk without solving anything, and an edit
 // re-solves only the edited function's SCC and its callers. A one-line
 // cache summary goes to stderr; the report itself is byte-identical to
-// a cacheless run. With the cache on, solved constraint skeletons are
-// additionally serialized as frozen snapshots (-skeleton-cache, default
-// true): a cold process whose source is unchanged reconstructs each
-// entry's solved base layer directly from bytes instead of translating
-// and re-solving it. Corrupt or version-skewed snapshots demote to a
-// live build, never a wrong report.
+// a cacheless run. Corrupt or version-skewed records demote to a miss,
+// never a wrong report.
 //
 // Observability: -trace-out writes a Chrome trace-event JSON of every
 // driver phase (load, translate, ir.lower, skeleton builds, per-job
@@ -56,7 +52,6 @@ import (
 	"strings"
 
 	"rasc/internal/analysis"
-	"rasc/internal/core"
 	"rasc/internal/obs"
 )
 
@@ -73,7 +68,6 @@ func run() int {
 	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run (error, warning or note)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the incremental result cache (empty = no cache)")
-	skelCache := flag.Bool("skeleton-cache", true, "with -cache-dir, snapshot solved constraint skeletons for instant cold starts")
 	list := flag.Bool("list", false, "list registered checkers and exit")
 	speclint := flag.Bool("speclint", false, "lint the checkers' property specs and exit (3 on findings)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
@@ -82,7 +76,6 @@ func run() int {
 	metricsJSON := flag.String("metrics-json", "", "write a JSON snapshot of the run's metric registry to this file")
 	explain := flag.Bool("explain", false, "attach a derivation chain (provenance) to every finding")
 	progress := flag.Bool("progress", false, "print coarse progress lines to stderr while analyzing")
-	verbose := flag.Bool("verbose", false, "print secondary cache telemetry (skeleton snapshots) to stderr")
 	serverAddr := flag.String("server", "", "check through a running gocheckd at this address instead of analyzing in-process")
 	program := flag.String("program", "default", "with -server, the resident program name to check against")
 	serverTimeout := flag.Duration("server-timeout", 0, "with -server, per-request HTTP timeout (0 = default 5m)")
@@ -175,16 +168,14 @@ func run() int {
 		return fail(err)
 	}
 	rep, err := analysis.Analyze(pkg, analysis.Config{
-		Checkers:            checkers,
-		Entries:             entries,
-		Parallel:            *parallel,
-		Opts:                core.Options{},
-		Cache:               cache,
-		NoSkeletonSnapshots: !*skelCache,
-		Trace:               tracer,
-		Metrics:             registry,
-		Explain:             *explain,
-		Progress:            prog,
+		Checkers: checkers,
+		Entries:  entries,
+		Parallel: *parallel,
+		Cache:    cache,
+		Trace:    tracer,
+		Metrics:  registry,
+		Explain:  *explain,
+		Progress: prog,
 	})
 	if err != nil {
 		return fail(err)
@@ -194,15 +185,8 @@ func run() int {
 		// report, so every rendered format stays byte-identical across
 		// cacheless, cold and warm runs.
 		cs := rep.Cache
-		fmt.Fprintf(os.Stderr, "gocheck: cache hits=%d misses=%d rate=%.1f%% resolved=%d/%d\n",
-			cs.Hits, cs.Misses, cs.HitRate(), cs.ResolvedFunctions, cs.TotalFunctions)
-		// Skeleton-snapshot telemetry is secondary: scripted consumers
-		// only want it on request (-verbose); the counts always land in
-		// -metrics-json as the snapshot.* counters.
-		if *verbose && cs.SkeletonHits+cs.SkeletonMisses > 0 {
-			fmt.Fprintf(os.Stderr, "gocheck: skeleton snapshots hits=%d misses=%d corrupt=%d\n",
-				cs.SkeletonHits, cs.SkeletonMisses, cs.SkeletonCorrupt)
-		}
+		fmt.Fprintf(os.Stderr, "gocheck: cache hits=%d misses=%d rate=%.1f%%\n",
+			cs.Hits, cs.Misses, cs.HitRate())
 		for _, n := range cs.Notes {
 			fmt.Fprintf(os.Stderr, "gocheck: %s\n", n)
 		}

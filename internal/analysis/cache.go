@@ -1,12 +1,14 @@
-// Persistent incremental-analysis cache. Results are content-addressed:
-// every key bakes in the cache format version indirectly (checked per
-// file), the checker-registry fingerprint, the solver options, and the
-// transitive summary digest of the entry function (internal/ir), so a
-// key can never resolve to a result computed from different analysis
-// input. Invalidation is therefore free — an edit changes the summary
-// digests of exactly the edited function's SCC and its transitive
-// callers, their keys stop resolving, and only those entries re-solve;
-// everything else is a hit.
+// Persistent incremental-analysis result store. One record per
+// (checker, entry) job holds the job's pre-suppression diagnostics and
+// nothing else, filed under the job's content key (jobKey): the
+// checker-registry fingerprint, the explain bit, the checker's
+// fingerprint, the entry name and the digest of the entry's analysis
+// input (internal/ir). A key can therefore never resolve to a result
+// computed from different analysis input, and invalidation is free: an
+// edit changes the digests of exactly the entries whose input contains
+// the edited function, their keys stop resolving, and only those jobs
+// re-solve; everything else is a hit. The resident engine's in-memory
+// memo uses the same key (memo.go).
 //
 // The on-disk format is deliberately dumb: one JSON file per record in a
 // flat directory, each wrapped in an envelope carrying the format
@@ -20,27 +22,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"rasc/internal/core"
+	"rasc/internal/ir"
 	"rasc/internal/obs"
-	"rasc/internal/pdm"
-	"rasc/internal/snapshot"
 )
 
 // CacheVersion is the on-disk format version. Bump it whenever the
 // record schema or key derivation changes incompatibly, or when the
-// values records hold change for the same key (such as solver
-// statistics); records written under another version read as misses
-// (with a note), never as wrong results.
-const CacheVersion = 2
+// values records hold change for the same key; records written under
+// another version read as misses (with a note), never as wrong results.
+const CacheVersion = 3
 
 // Cache is a handle on an on-disk result cache directory. It is safe for
 // concurrent use by any number of Analyze runs.
@@ -187,29 +183,10 @@ func firstErr(errs ...error) error {
 
 // CacheStats summarizes the cache's effect on one Analyze run.
 type CacheStats struct {
-	// Hits and Misses count content-key lookups (one per job, plus one
-	// per entry with a property checker for the skeleton's base stats).
+	// Hits and Misses count job-record lookups: one per job the memo
+	// did not serve.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
-	// ResolvedFunctions counts the functions whose constraints were
-	// actually (re-)solved this run: functions reachable from some missed
-	// entry that had no valid up-to-date stamp. 0 on a fully warm run.
-	ResolvedFunctions int `json:"resolved_functions"`
-	// TotalFunctions is the package's function count, for context.
-	TotalFunctions int `json:"total_functions"`
-	// Resolved lists the re-solved functions' canonical names, sorted.
-	Resolved []string `json:"resolved,omitempty"`
-	// SkeletonHits counts entry skeletons reconstructed from a frozen
-	// snapshot instead of a live build-and-solve; SkeletonMisses counts
-	// skeleton builds that had no usable snapshot. Skeleton lookups are
-	// deliberately not folded into Hits/Misses: those count result-record
-	// lookups, and their hit rate is what the cache-effectiveness CI job
-	// asserts on.
-	SkeletonHits   int `json:"skeleton_hits,omitempty"`
-	SkeletonMisses int `json:"skeleton_misses,omitempty"`
-	// SkeletonCorrupt counts snapshots discarded by integrity or
-	// structural validation (also counted in SkeletonMisses).
-	SkeletonCorrupt int `json:"skeleton_corrupt,omitempty"`
 	// Notes lists non-fatal cache incidents (corruption, version skew).
 	Notes []string `json:"notes,omitempty"`
 }
@@ -223,320 +200,96 @@ func (s *CacheStats) HitRate() float64 {
 	return 100 * float64(s.Hits) / float64(total)
 }
 
-// jobRecord is a cached raw job result: the pre-suppression diagnostics
-// and the job's solver-stats delta. Suppression directives are applied
-// afresh by every run's merge phase, so //rasc:ignore edits never
-// require invalidation.
+// jobKey is the content key of one (checker, entry) job. It pins every
+// input the job's diagnostics depend on: the whole checker registry
+// (the union of event callees shapes the shared skeleton), whether
+// provenance is attached (records store diagnostics verbatim, so an
+// explain record must never serve a plain run or vice versa), the
+// checker itself, and the entry's code (inputOf). The memo map is keyed
+// by it and the disk record's file name is derived from it.
+type jobKey struct {
+	reg     string // registry fingerprint
+	explain bool
+	checker string // checker fingerprint
+	entry   string
+	input   ir.Digest
+}
+
+// inputOf digests the code a job of checker c on entry f reads. A
+// property checker solves the entry's call-graph closure, which the
+// entry's Summary pins. A model checker (Run) follows a
+// context-insensitive flow relation in which a callee returns to every
+// one of its callers, so its goroutines can reach code outside the
+// closure; the entry's Component pins everything connected to it.
+func inputOf(c *Checker, f *ir.Function) ir.Digest {
+	if c.Run != nil {
+		return f.Component
+	}
+	return f.Summary
+}
+
+// file names the key's record in the cache directory.
+func (k jobKey) file() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "job\nreg:%s\nexplain:%t\nchecker:%s\nentry:%s\ninput:%s\n",
+		k.reg, k.explain, k.checker, k.entry, k.input)
+	return "job-" + hex.EncodeToString(h.Sum(nil)) + ".json"
+}
+
+// jobRecord is a stored job result: its pre-suppression diagnostics.
+// Suppression directives are applied afresh by every run's merge phase,
+// so //rasc:ignore edits never require invalidation.
 type jobRecord struct {
 	Diagnostics []Diagnostic `json:"diagnostics"`
-	Stats       core.Stats   `json:"stats"`
 }
 
-// entryRecord caches an entry's skeleton base stats so warm runs can
-// report identical solver totals without rebuilding the skeleton.
-type entryRecord struct {
-	Base core.Stats `json:"base"`
+// cacheRun binds a Cache to one Analyze run's accounting: hit and miss
+// counts for the run's CacheStats, and the metric bundle (nil OK) that
+// receives per-lookup hit/miss/corrupt/skew and per-write store counts.
+type cacheRun struct {
+	c            *Cache
+	metrics      *obs.CacheMetrics
+	hits, misses atomic.Int64
 }
 
-// fnRecord stamps one function's summary digest as solved under the
-// session's registry/options: its presence means the cached results
-// covering this function are up to date.
-type fnRecord struct {
-	Fn string `json:"fn"`
-}
-
-// cacheSession binds a Cache to one Analyze run: it pins the registry
-// and options fingerprints, tracks hit/miss counters and computes the
-// set of functions the run had to re-solve.
-type cacheSession struct {
-	c     *Cache
-	pkg   *Package
-	regFP string
-	opts  string
-	// optsRaw is opts without the explain marker: skeleton snapshots are
-	// property-independent, so explain and non-explain runs share them.
-	optsRaw string
-	// coreOpts are the session's solver options, revalidated against the
-	// options a snapshot was encoded under at decode time.
-	coreOpts core.Options
-	// snapshots enables the frozen-skeleton snapshot path (load before a
-	// live BuildSkeleton, store after one).
-	snapshots bool
-
-	// metrics (nil OK) receives per-lookup hit/miss/corrupt/skew and
-	// per-write store counts for job and entry records. Function-stamp
-	// probes are not counted, matching CacheStats.
-	metrics *obs.CacheMetrics
-	// snapM (nil OK) receives skeleton-snapshot hit/miss/corrupt/skew
-	// counts, byte volumes and encode/decode timings.
-	snapM *obs.SnapshotMetrics
-
-	hits, misses                      atomic.Int64
-	skelHits, skelMisses, skelCorrupt atomic.Int64
-
-	// stale[id] reports that function id had no valid stamp when the
-	// session started (its summary changed, or the cache is cold).
-	stale map[int]bool
-
-	mu     sync.Mutex
-	solved map[string]bool // entries some job actually solved
-}
-
-// session starts a cache session for one Analyze run. It stamps-checks
-// every function up front so that re-solved accounting is independent
-// of job scheduling. Explain runs key separately: cached records store
-// diagnostics verbatim, and a record written without provenance must
-// never satisfy a run that wants it (or vice versa). Non-explain keys
-// are unchanged, so existing caches keep hitting.
-func (c *Cache) session(pkg *Package, opts core.Options, explain bool, m *obs.CacheMetrics) *cacheSession {
-	optKey := fmt.Sprintf("%+v", opts)
-	if explain {
-		optKey += " explain"
-	}
-	cs := &cacheSession{
-		c:        c,
-		pkg:      pkg,
-		regFP:    registryFingerprint(),
-		opts:     optKey,
-		optsRaw:  fmt.Sprintf("%+v", opts),
-		coreOpts: opts,
-		metrics:  m,
-		stale:    map[int]bool{},
-		solved:   map[string]bool{},
-	}
-	for _, f := range pkg.Prog.Funcs {
-		var rec fnRecord
-		if c.load(cs.fnPath(f.ID), &rec) != loadHit || rec.Fn != f.Name {
-			cs.stale[f.ID] = true
-		}
-	}
-	return cs
-}
-
-// observe feeds one job/entry lookup's outcome into the metric bundle.
-func (cs *cacheSession) observe(st loadStatus) {
-	m := cs.metrics
-	if m == nil {
-		return
-	}
-	if st == loadHit {
-		m.Hits.Inc()
-		return
-	}
-	m.Misses.Inc()
-	switch st {
-	case loadCorrupt:
-		m.Corrupt.Inc()
-	case loadSkew:
-		m.VersionSkew.Inc()
-	}
-}
-
-// key derives a content key; kind separates the key spaces.
-func (cs *cacheSession) key(kind string, parts ...string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nreg:%s\nopts:%s\n", kind, cs.regFP, cs.opts)
-	for _, p := range parts {
-		fmt.Fprintf(h, "%s\n", p)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// summaryOf returns the entry function's transitive summary digest.
-func (cs *cacheSession) summaryOf(entry string) string {
-	return cs.pkg.Prog.ByName[entry].Summary.String()
-}
-
-func (cs *cacheSession) jobPath(c *Checker, entry string) string {
-	return filepath.Join(cs.c.dir,
-		"job-"+cs.key("job", c.fingerprint(), "entry:"+entry, "sum:"+cs.summaryOf(entry))+".json")
-}
-
-func (cs *cacheSession) entryPath(entry string) string {
-	return filepath.Join(cs.c.dir,
-		"entry-"+cs.key("entry", "entry:"+entry, "sum:"+cs.summaryOf(entry))+".json")
-}
-
-func (cs *cacheSession) fnPath(id int) string {
-	f := cs.pkg.Prog.Funcs[id]
-	return filepath.Join(cs.c.dir,
-		"fn-"+cs.key("fn", "fn:"+f.Name, "sum:"+f.Summary.String())+".json")
-}
-
-// loadJob looks one (checker, entry) job up.
-func (cs *cacheSession) loadJob(c *Checker, entry string) ([]Diagnostic, core.Stats, bool) {
+// load looks one job's record up.
+func (r *cacheRun) load(k jobKey) ([]Diagnostic, bool) {
 	var rec jobRecord
-	st := cs.c.load(cs.jobPath(c, entry), &rec)
-	cs.observe(st)
-	if st != loadHit {
-		cs.misses.Add(1)
-		cs.mu.Lock()
-		cs.solved[entry] = true
-		cs.mu.Unlock()
-		return nil, core.Stats{}, false
-	}
-	cs.hits.Add(1)
-	return rec.Diagnostics, rec.Stats, true
-}
-
-// storeJob persists one solved job's raw result.
-func (cs *cacheSession) storeJob(c *Checker, entry string, ds []Diagnostic, st core.Stats) {
-	cs.c.store(cs.jobPath(c, entry), jobRecord{Diagnostics: ds, Stats: st})
-	if cs.metrics != nil {
-		cs.metrics.Stores.Inc()
-	}
-}
-
-// loadEntry looks an entry's skeleton base stats up.
-func (cs *cacheSession) loadEntry(entry string) (core.Stats, bool) {
-	var rec entryRecord
-	st := cs.c.load(cs.entryPath(entry), &rec)
-	cs.observe(st)
-	if st != loadHit {
-		cs.misses.Add(1)
-		return core.Stats{}, false
-	}
-	cs.hits.Add(1)
-	return rec.Base, true
-}
-
-func (cs *cacheSession) storeEntry(entry string, base core.Stats) {
-	cs.c.store(cs.entryPath(entry), entryRecord{Base: base})
-	if cs.metrics != nil {
-		cs.metrics.Stores.Inc()
-	}
-}
-
-// skelPath derives the on-disk name of an entry's frozen-skeleton
-// snapshot. The key bakes in everything the snapshot's validity depends
-// on: the container format version, the checker-registry fingerprint
-// (event callees shape skeleton construction), the solver options, and
-// the entry's transitive summary digest — any code or configuration
-// change moves the key, so a stale snapshot is an ordinary miss, never
-// a wrong skeleton. Explain mode is deliberately absent: skeletons are
-// property-independent, so both run flavors share one snapshot.
-func (cs *cacheSession) skelPath(entry string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "skel\nv:%d\nreg:%s\nopts:%s\nentry:%s\nsum:%s\n",
-		snapshot.FormatVersion, cs.regFP, cs.optsRaw, entry, cs.summaryOf(entry))
-	return filepath.Join(cs.c.dir, "skel-"+hex.EncodeToString(h.Sum(nil))+".snap")
-}
-
-// loadSkeleton reconstructs entry's skeleton from its snapshot, if one
-// exists and survives validation. Every failure demotes to a live build:
-// a missing file is a silent miss, version skew is a counted miss with a
-// note, and corruption (container integrity, structural validation, or
-// a program/entry mismatch that the content key should have prevented)
-// is a counted miss with a note and a best-effort removal.
-func (cs *cacheSession) loadSkeleton(entry string) (*pdm.Skeleton, bool) {
-	path := cs.skelPath(entry)
-	m := cs.snapM
-	miss := func() (*pdm.Skeleton, bool) {
-		cs.skelMisses.Add(1)
-		if m != nil {
+	st := r.c.load(filepath.Join(r.c.dir, k.file()), &rec)
+	if m := r.metrics; m != nil {
+		switch st {
+		case loadHit:
+			m.Hits.Inc()
+		case loadCorrupt:
+			m.Corrupt.Inc()
+		case loadSkew:
+			m.VersionSkew.Inc()
+		}
+		if st != loadHit {
 			m.Misses.Inc()
 		}
+	}
+	if st != loadHit {
+		r.misses.Add(1)
 		return nil, false
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			cs.c.note("cache: unreadable skeleton snapshot %s: %v", filepath.Base(path), err)
-		}
-		return miss()
-	}
-	t0 := time.Now()
-	sk, err := pdm.LoadSkeleton(data, cs.pkg.Prog, entry, cs.coreOpts)
-	if err != nil {
-		if errors.Is(err, snapshot.ErrVersion) {
-			cs.c.note("cache: skeleton snapshot %s has a different format version; falling back to a live build",
-				filepath.Base(path))
-			if m != nil {
-				m.VersionSkew.Inc()
-			}
-			return miss()
-		}
-		cs.c.note("cache: corrupt skeleton snapshot %s discarded: %v", filepath.Base(path), err)
-		os.Remove(path)
-		cs.skelCorrupt.Add(1)
-		if m != nil {
-			m.Corrupt.Inc()
-		}
-		return miss()
-	}
-	cs.skelHits.Add(1)
-	if m != nil {
-		m.Hits.Inc()
-		m.Bytes.Add(int64(len(data)))
-		m.DecodeMs.Observe(time.Since(t0).Milliseconds())
-	}
-	return sk, true
+	r.hits.Add(1)
+	return rec.Diagnostics, true
 }
 
-// storeSkeleton serializes a freshly built skeleton beside the JSON
-// result records (atomic temp-file + rename; the container carries its
-// own SHA-256 and per-section CRCs, so no envelope is needed). Write
-// failures degrade to a snapshot that never hits.
-func (cs *cacheSession) storeSkeleton(entry string, sk *pdm.Skeleton) {
-	t0 := time.Now()
-	data := sk.Snapshot()
-	encodeMs := time.Since(t0).Milliseconds()
-	path := cs.skelPath(entry)
-	tmp, err := os.CreateTemp(cs.c.dir, "tmp-*")
-	if err != nil {
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), err)
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), firstErr(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		cs.c.note("cache: writing %s: %v", filepath.Base(path), err)
-		return
-	}
-	if m := cs.snapM; m != nil {
-		m.Stores.Inc()
-		m.Bytes.Add(int64(len(data)))
-		m.EncodeMs.Observe(encodeMs)
+// store persists one solved job's diagnostics.
+func (r *cacheRun) store(k jobKey, ds []Diagnostic) {
+	r.c.store(filepath.Join(r.c.dir, k.file()), jobRecord{Diagnostics: ds})
+	if r.metrics != nil {
+		r.metrics.Stores.Inc()
 	}
 }
 
-// finish computes the run's CacheStats and writes the function stamps
-// for everything the run solved.
-func (cs *cacheSession) finish() *CacheStats {
-	st := &CacheStats{
-		Hits:            int(cs.hits.Load()),
-		Misses:          int(cs.misses.Load()),
-		TotalFunctions:  len(cs.pkg.Prog.Funcs),
-		SkeletonHits:    int(cs.skelHits.Load()),
-		SkeletonMisses:  int(cs.skelMisses.Load()),
-		SkeletonCorrupt: int(cs.skelCorrupt.Load()),
+// stats reports the run's CacheStats.
+func (r *cacheRun) stats() *CacheStats {
+	return &CacheStats{
+		Hits:   int(r.hits.Load()),
+		Misses: int(r.misses.Load()),
+		Notes:  r.c.takeNotes(),
 	}
-	cs.mu.Lock()
-	solved := make([]string, 0, len(cs.solved))
-	for e := range cs.solved {
-		solved = append(solved, e)
-	}
-	cs.mu.Unlock()
-	resolved := map[int]bool{}
-	for _, e := range solved {
-		for _, id := range cs.pkg.Prog.Reachable(e) {
-			if cs.stale[id] {
-				resolved[id] = true
-			}
-		}
-	}
-	for id := range resolved {
-		st.Resolved = append(st.Resolved, cs.pkg.Prog.Funcs[id].Name)
-		cs.c.store(cs.fnPath(id), fnRecord{Fn: cs.pkg.Prog.Funcs[id].Name})
-	}
-	sort.Strings(st.Resolved)
-	st.ResolvedFunctions = len(st.Resolved)
-	st.Notes = cs.c.takeNotes()
-	return st
 }

@@ -99,9 +99,6 @@ type Report struct {
 	Checkers  []string `json:"checkers"`
 	Entries   []string `json:"entries"`
 	Jobs      int      `json:"jobs"`
-	// Solver sums constraint-solver statistics over every property job
-	// (model-based checkers contribute nothing).
-	Solver SolverStats `json:"solver"`
 	// Cache summarizes incremental-cache effectiveness; nil when the run
 	// had no cache, keeping cacheless reports byte-identical to before.
 	Cache *CacheStats `json:"cache,omitempty"`
@@ -116,16 +113,6 @@ type Report struct {
 	TraceJSON  []byte `json:"-"`
 	MemoHits   int64  `json:"-"`
 	MemoMisses int64  `json:"-"`
-}
-
-// SolverStats aggregates constraint-system sizes across jobs.
-type SolverStats struct {
-	// Vars is the total number of set variables created.
-	Vars int `json:"vars"`
-	// ConsNodes is the total number of constructed-term nodes.
-	ConsNodes int `json:"cons_nodes"`
-	// Edges is the total number of constraint-graph edges added.
-	Edges int `json:"edges"`
 }
 
 // HasFindings reports whether any diagnostic of Severity error or

@@ -33,17 +33,11 @@ type Package struct {
 
 	// skels caches the property-independent constraint skeleton per entry
 	// function, shared read-only by every property checker's job. The
-	// cache is keyed by the checker-registry generation and the solver
-	// options the skeletons were built under; a mismatch (new checker
-	// registered, different Options) drops it wholesale.
+	// cache is keyed by the checker-registry generation the skeletons
+	// were built under; a new checker registration drops it wholesale.
 	skelMu  sync.Mutex
-	skelKey skelCacheKey
+	skelGen int
 	skels   map[string]*skelEntry
-}
-
-type skelCacheKey struct {
-	gen  int
-	opts core.Options
 }
 
 type skelEntry struct {
@@ -57,17 +51,11 @@ type skelEntry struct {
 // on one build; distinct entries build independently. ob (nil OK)
 // records the build as a trace span and feeds the skeleton-layer
 // metrics; reuse of an already-built skeleton records nothing.
-//
-// With a snapshot-enabled cache session (cs non-nil), the build is
-// first attempted as a snapshot decode — reconstructing the solved base
-// layer straight from bytes, skipping translation and the solve — and a
-// live build stores its snapshot for the next cold process. Snapshot
-// failures of any kind demote silently to the live path.
-func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, cs *cacheSession) (*pdm.Skeleton, error) {
-	key := skelCacheKey{gen: generation(), opts: opts}
+func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
+	gen := generation()
 	p.skelMu.Lock()
-	if p.skels == nil || p.skelKey != key {
-		p.skelKey = key
+	if p.skels == nil || p.skelGen != gen {
+		p.skelGen = gen
 		p.skels = map[string]*skelEntry{}
 	}
 	e := p.skels[entry]
@@ -78,32 +66,14 @@ func (p *Package) skeleton(entry string, opts core.Options, ob *obsState, cs *ca
 	p.skelMu.Unlock()
 	e.once.Do(func() {
 		sp := ob.span("skeleton:" + entry)
-		if cs != nil && cs.snapshots {
-			dsp := sp.Child("snapshot.decode")
-			sk, ok := cs.loadSkeleton(entry)
-			dsp.Finish()
-			if ok {
-				e.sk = sk
-				sp.SetAttr("snapshot", "hit")
-				sp.SetAttr("deferred", sk.Deferred())
-				sp.Finish()
-				return
-			}
-			sp.SetAttr("snapshot", "miss")
-		}
 		callees := eventCallees()
-		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, opts,
+		e.sk, e.err = pdm.BuildSkeleton(p.Prog, entry, core.Options{},
 			func(call *minic.CallExpr, _ string) bool { return callees[call.Name] })
 		if e.err == nil {
 			sp.SetAttr("deferred", e.sk.Deferred())
 			if ob != nil && ob.pdmM != nil {
 				ob.pdmM.SkeletonBuilds.Inc()
 				ob.pdmM.DeferredStmts.Add(int64(e.sk.Deferred()))
-			}
-			if cs != nil && cs.snapshots {
-				esp := sp.Child("snapshot.encode")
-				cs.storeSkeleton(entry, e.sk)
-				esp.Finish()
 			}
 		}
 		sp.Finish()
@@ -120,8 +90,6 @@ type Config struct {
 	Entries []string
 	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Opts configures the underlying constraint solver.
-	Opts core.Options
 	// KeepSuppressed reports suppressed diagnostics instead of dropping
 	// them (still counted in Report.Suppressed).
 	KeepSuppressed bool
@@ -131,15 +99,6 @@ type Config struct {
 	// Suppression is applied to cached results afresh on every run, so
 	// //rasc:ignore edits take effect without invalidating anything.
 	Cache *Cache
-	// NoSkeletonSnapshots disables the frozen-skeleton snapshot path of
-	// the cache. By default (false), every live-built entry skeleton is
-	// serialized beside the result records and the next cold process
-	// reconstructs it straight from the bytes instead of re-translating
-	// and re-solving; snapshots are keyed so that any code, option or
-	// registry change demotes them to a live build. Only meaningful when
-	// Cache is set.
-	NoSkeletonSnapshots bool
-
 	// Trace, when non-nil, records every driver phase — skeleton builds,
 	// per-job cache lookups, solves and stores, the merge — as spans,
 	// exportable as Chrome trace-event JSON (obs.Tracer.WriteJSON).
@@ -273,23 +232,20 @@ func (p *Package) fileOf(fn string) string { return p.Prog.FileOf(fn) }
 // no locking beyond the skeleton cache's.
 //
 // With cfg.Cache set, each job's raw result is first looked up by its
-// content key — registry fingerprint, solver options, checker name, and
-// the entry function's transitive summary digest — and solved only on a
-// miss. A fully warm run therefore builds no skeleton and solves no
-// constraint system at all, yet reproduces identical diagnostics and
-// solver statistics; Report.Cache records hit/miss counts and which
-// functions had to be re-solved.
+// content key (jobKey) and solved only on a miss. A fully warm run
+// therefore builds no skeleton and solves no constraint system at all,
+// yet reproduces identical diagnostics; Report.Cache records the hit
+// and miss counts.
 func Analyze(pkg *Package, cfg Config) (*Report, error) {
 	return NewEngine(EngineConfig{}).AnalyzePackage(pkg, cfg)
 }
 
 // analyze is the driver core shared by the one-shot wrapper and the
-// resident Engine. mem (nil OK) is the engine's in-memory job memo,
-// consulted before the on-disk cache and fed from every source (memo
-// miss that hits disk, and fresh solves), so a warm engine replays jobs
-// without touching disk at all. Memo keys pin the same content
-// coordinates as disk keys, so results are byte-identical whichever
-// layer serves them.
+// resident Engine. mem is the engine's in-memory job memo, consulted
+// before the on-disk cache and fed from every source (a memo miss that
+// hits disk, and fresh solves), so a warm engine replays jobs without
+// touching disk at all. Memo and disk share one content key, so results
+// are byte-identical whichever layer serves them.
 func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 	checkers := cfg.Checkers
 	if len(checkers) == 0 {
@@ -310,38 +266,14 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 	}
 	ob := newObsState(&cfg)
 	ob.recordSpecMetrics(checkers)
-	// The disk session is created lazily, on the first memo miss that
-	// needs it: session setup stamps every function against the cache
-	// directory (one read per function), which a fully memoized
-	// resident-engine request never needs. One-shot and cold runs miss
-	// the memo on their first job and materialize it immediately, so
-	// their behavior is unchanged.
-	var disk *lazySession
+	var disk *cacheRun
 	if cfg.Cache != nil {
-		var cm *obs.CacheMetrics
+		disk = &cacheRun{c: cfg.Cache}
 		if ob != nil {
-			cm = ob.cacheM
+			disk.metrics = ob.cacheM
 		}
-		disk = &lazySession{mk: func() *cacheSession {
-			cs := cfg.Cache.session(pkg, cfg.Opts, cfg.Explain, cm)
-			cs.snapshots = !cfg.NoSkeletonSnapshots
-			if ob != nil {
-				cs.snapM = ob.snapM
-			}
-			return cs
-		}}
 	}
-	// Memo key coordinates, mirroring cacheSession's key derivation.
-	var memoRegFP, memoOpts, memoProg string
-	if mem != nil {
-		memoRegFP = registryFingerprint()
-		memoOpts = fmt.Sprintf("%+v", cfg.Opts)
-		if cfg.Explain {
-			memoOpts += " explain"
-		}
-		memoProg = pkg.Prog.Digest.String()
-	}
-	summaryOf := func(entry string) string { return pkg.Prog.ByName[entry].Summary.String() }
+	reg := registryFingerprint()
 
 	type job struct {
 		checker *Checker
@@ -359,11 +291,10 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 		ob.progress.StartCount("jobs", len(jobs))
 	}
 	results := make([][]Diagnostic, len(jobs))
-	stats := make([]core.Stats, len(jobs))
 	errs := make([]error, len(jobs))
-	// Per-request memo accounting (job-level lookups only), carried on
-	// the Report for the server's access logs and flight recorder; the
-	// memo's own counters stay engine-wide.
+	// Per-request memo accounting, carried on the Report for the
+	// server's access logs and flight recorder; the memo's own counters
+	// stay engine-wide.
 	var memoHits, memoMisses atomic.Int64
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -373,56 +304,14 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 			defer wg.Done()
 			for i := range idx {
 				c, e := jobs[i].checker, jobs[i].entry
-				// The memo is consulted before the job span opens: a memo
-				// hit is a map lookup, and spanning each of them would put
-				// the always-on flight recorder's cost on the fully-warm
-				// hot path (hundreds of span allocations per request for
-				// sub-microsecond work). Jobs that actually look at the
-				// disk cache or solve — the ones that make a request slow
-				// and worth inspecting — keep their full span tree; the
-				// request span's memo hit/miss counts cover the rest.
-				if mem != nil {
-					if ds, st, ok := mem.loadJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e)); ok {
-						memoHits.Add(1)
-						results[i], stats[i] = ds, st
-						ob.jobDone(false)
-						continue
-					}
+				k := jobKey{reg: reg, explain: cfg.Explain, checker: c.fingerprint(), entry: e, input: inputOf(c, pkg.Prog.ByName[e])}
+				var memoHit bool
+				results[i], memoHit, errs[i] = serveJob(pkg, c, k, mem, disk, ob)
+				if memoHit {
+					memoHits.Add(1)
+				} else {
 					memoMisses.Add(1)
 				}
-				sp := ob.span("job:" + c.Name + "/" + e)
-				cs := disk.get()
-				if cs != nil {
-					lsp := sp.Child("cache.lookup")
-					ds, st, ok := cs.loadJob(c, e)
-					lsp.Finish()
-					if ok {
-						results[i], stats[i] = ds, st
-						if mem != nil {
-							mem.storeJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e), ds, st)
-						}
-						sp.SetAttr("cache", "hit")
-						sp.Finish()
-						ob.jobDone(false)
-						continue
-					}
-					sp.SetAttr("cache", "miss")
-				}
-				ssp := sp.Child("solve")
-				results[i], stats[i], errs[i] = runJob(pkg, c, e, cfg.Opts, ob, cs)
-				ssp.Finish()
-				if errs[i] == nil {
-					if cs != nil {
-						wsp := sp.Child("cache.store")
-						cs.storeJob(c, e, results[i], stats[i])
-						wsp.Finish()
-					}
-					if mem != nil {
-						mem.storeJob(memoRegFP, memoOpts, memoProg, c.fingerprint(), e, summaryOf(e), results[i], stats[i])
-					}
-				}
-				sp.Finish()
-				ob.jobDone(true)
 			}
 		}()
 	}
@@ -446,70 +335,8 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 		MemoHits:   memoHits.Load(),
 		MemoMisses: memoMisses.Load(),
 	}
-	// Aggregate solver statistics; a sum is independent of completion
-	// order, so the report stays deterministic under any -parallel. Job
-	// stats are per-property deltas; each entry's shared skeleton is
-	// counted once, not once per property checker.
-	for _, st := range stats {
-		rep.Solver.Vars += st.Vars
-		rep.Solver.ConsNodes += st.ConsNodes
-		rep.Solver.Edges += st.Edges
-	}
-	hasProperty := false
-	for _, c := range checkers {
-		if c.Run == nil {
-			hasProperty = true
-			break
-		}
-	}
-	if hasProperty {
-		for _, e := range entries {
-			// The skeleton's base stats are content-keyed too: a warm run
-			// reconstructs them from the memo or cache instead of
-			// rebuilding (and re-solving) the skeleton just to report its
-			// size.
-			if mem != nil {
-				if base, ok := mem.loadEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e)); ok {
-					rep.Solver.Vars += base.Vars
-					rep.Solver.ConsNodes += base.ConsNodes
-					rep.Solver.Edges += base.Edges
-					continue
-				}
-			}
-			cs := disk.get()
-			if cs != nil {
-				if base, ok := cs.loadEntry(e); ok {
-					rep.Solver.Vars += base.Vars
-					rep.Solver.ConsNodes += base.ConsNodes
-					rep.Solver.Edges += base.Edges
-					if mem != nil {
-						mem.storeEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e), base)
-					}
-					continue
-				}
-			}
-			sk, err := pkg.skeleton(e, cfg.Opts, ob, cs)
-			if err != nil {
-				return nil, err
-			}
-			base := sk.BaseStats()
-			rep.Solver.Vars += base.Vars
-			rep.Solver.ConsNodes += base.ConsNodes
-			rep.Solver.Edges += base.Edges
-			if cs != nil {
-				cs.storeEntry(e, base)
-			}
-			if mem != nil {
-				mem.storeEntry(memoRegFP, memoOpts, memoProg, e, summaryOf(e), base)
-			}
-		}
-	}
-	if cs := disk.made(); cs != nil {
-		rep.Cache = cs.finish()
-	} else if cfg.Cache != nil {
-		// Fully memoized: the session was never needed. Zero stats keep
-		// the report schema (and the engine's accounting) intact.
-		rep.Cache = &CacheStats{}
+	if disk != nil {
+		rep.Cache = disk.stats()
 	}
 	for _, c := range checkers {
 		rep.Checkers = append(rep.Checkers, c.Name)
@@ -547,6 +374,53 @@ func analyze(pkg *Package, cfg Config, mem *jobMemo) (*Report, error) {
 	return rep, nil
 }
 
+// serveJob returns one job's raw diagnostics from the first layer that
+// has them — the memo, then the disk cache (disk nil OK), then a fresh
+// solve — and stores what it found in every layer that missed. It
+// reports whether the memo served the job.
+//
+// The memo is consulted before the job span opens: a memo hit is a map
+// lookup, and spanning each of them would put the always-on flight
+// recorder's cost on the fully-warm hot path (hundreds of span
+// allocations per request for sub-microsecond work). Jobs that look at
+// the disk cache or solve — the ones that make a request slow and worth
+// inspecting — keep their full span tree; the request span's memo
+// hit/miss counts cover the rest.
+func serveJob(pkg *Package, c *Checker, k jobKey, mem *jobMemo, disk *cacheRun, ob *obsState) ([]Diagnostic, bool, error) {
+	if ds, ok := mem.load(k); ok {
+		ob.jobDone(false)
+		return ds, true, nil
+	}
+	sp := ob.span("job:" + c.Name + "/" + k.entry)
+	defer sp.Finish()
+	if disk != nil {
+		lsp := sp.Child("cache.lookup")
+		ds, ok := disk.load(k)
+		lsp.Finish()
+		if ok {
+			sp.SetAttr("cache", "hit")
+			mem.store(k, ds)
+			ob.jobDone(false)
+			return ds, false, nil
+		}
+		sp.SetAttr("cache", "miss")
+	}
+	ssp := sp.Child("solve")
+	ds, err := runJob(pkg, c, k.entry, ob)
+	ssp.Finish()
+	if err != nil {
+		return nil, false, err
+	}
+	if disk != nil {
+		wsp := sp.Child("cache.store")
+		disk.store(k, ds)
+		wsp.Finish()
+	}
+	mem.store(k, ds)
+	ob.jobDone(true)
+	return ds, false, nil
+}
+
 // suppressed reports whether a //rasc:ignore comment on the diagnostic's
 // line, or a //rasc:ignore-file comment in its file, covers its checker.
 func (p *Package) suppressed(d *Diagnostic) bool {
@@ -576,31 +450,27 @@ func coversChecker(names []string, checker string) bool {
 
 // runJob executes one (checker, entry) job — a constraint solve for
 // property checkers, a concurrency-model query for Run checkers — and
-// maps the result to diagnostics plus solver statistics. ob (nil OK)
-// supplies metric hooks and the explain flag; with explain on, every
-// diagnostic leaves with a non-empty provenance chain, so cached
-// records round-trip explain output unchanged.
-func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsState, cs *cacheSession) ([]Diagnostic, core.Stats, error) {
+// maps the result to diagnostics. ob (nil OK) supplies metric hooks and
+// the explain flag; with explain on, every diagnostic leaves with a
+// non-empty provenance chain, so cached records round-trip explain
+// output unchanged.
+func runJob(pkg *Package, c *Checker, entry string, ob *obsState) ([]Diagnostic, error) {
 	if c.Run != nil {
 		ds := c.Run(pkg, c, entry)
 		if ob.explainOn() {
 			ensureProvenance(ds)
 		}
-		return ds, core.Stats{}, nil
+		return ds, nil
 	}
 	prop, events := c.compiled()
-	sk, err := pkg.skeleton(entry, opts, ob, cs)
+	sk, err := pkg.skeleton(entry, ob)
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
+		return nil, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
 	res, err := sk.CheckObs(prop, events, ob.pdmObs())
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
+		return nil, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
-	// The skeleton's structure is shared by every checker on this entry;
-	// report only this property's layered work here. Analyze adds each
-	// skeleton's base once.
-	stats := res.Sys.Stats().Minus(res.Base)
 	var ds []Diagnostic
 	switch c.Mode {
 	case ModeLeakAtExit:
@@ -611,7 +481,7 @@ func runJob(pkg *Package, c *Checker, entry string, opts core.Options, ob *obsSt
 	if ob.explainOn() {
 		ensureProvenance(ds)
 	}
-	return ds, stats, nil
+	return ds, nil
 }
 
 func violationDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result) []Diagnostic {

@@ -17,8 +17,8 @@
 // analyze concurrently — against the same program or different ones —
 // exactly like concurrent one-shot runs over a shared Package. Findings
 // stay deterministic because nothing downstream of the snapshot is
-// request-ordered: job results are content-keyed, merges happen in job
-// order, and stats are sums.
+// request-ordered: job results are content-keyed and merges happen in
+// job order.
 //
 // Analyze (the one-shot entry point every existing caller uses) is a
 // thin wrapper that routes a single request through a throwaway Engine.
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rasc/internal/core"
 	"rasc/internal/gosrc"
 	"rasc/internal/ir"
 	"rasc/internal/obs"
@@ -44,13 +43,6 @@ type EngineConfig struct {
 	// Cache, when non-nil, backs the engine with the on-disk incremental
 	// cache (shared with one-shot runs; keys are identical).
 	Cache *Cache
-	// NoSkeletonSnapshots disables the frozen-skeleton snapshot path,
-	// as in Config.
-	NoSkeletonSnapshots bool
-	// Opts are the solver options every request runs under. Requests do
-	// not choose options: cached and memoized results are keyed by them,
-	// and one resident configuration per engine keeps the key space hot.
-	Opts core.Options
 	// Parallel bounds each request's worker pool; <= 0 means GOMAXPROCS.
 	Parallel int
 	// MemoryBudget caps the estimated resident-program footprint in
@@ -90,9 +82,8 @@ type Engine struct {
 	// Engine-wide accounting, accumulated atomically so concurrent
 	// requests never race (CacheStats itself is per-request; these are
 	// the cross-request totals).
-	requests, errors, evictions         atomic.Int64
-	cacheHits, cacheMisses, resolvedFns atomic.Int64
-	skeletonHits, skeletonMisses        atomic.Int64
+	requests, errors, evictions atomic.Int64
+	cacheHits, cacheMisses      atomic.Int64
 }
 
 // NewEngine creates a resident engine.
@@ -289,16 +280,14 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 		trace = tr
 	}
 	cfg := Config{
-		Checkers:            checkers,
-		Entries:             req.Entries,
-		Parallel:            parallel,
-		Opts:                e.cfg.Opts,
-		KeepSuppressed:      req.KeepSuppressed,
-		Cache:               e.cfg.Cache,
-		NoSkeletonSnapshots: e.cfg.NoSkeletonSnapshots,
-		Trace:               trace,
-		Metrics:             e.cfg.Metrics,
-		Explain:             req.Explain,
+		Checkers:       checkers,
+		Entries:        req.Entries,
+		Parallel:       parallel,
+		KeepSuppressed: req.KeepSuppressed,
+		Cache:          e.cfg.Cache,
+		Trace:          trace,
+		Metrics:        e.cfg.Metrics,
+		Explain:        req.Explain,
 	}
 	rep, err := analyze(pkg, cfg, e.memo)
 	if err != nil {
@@ -480,9 +469,6 @@ func (e *Engine) account(st *CacheStats) {
 	}
 	e.cacheHits.Add(int64(st.Hits))
 	e.cacheMisses.Add(int64(st.Misses))
-	e.resolvedFns.Add(int64(st.ResolvedFunctions))
-	e.skeletonHits.Add(int64(st.SkeletonHits))
-	e.skeletonMisses.Add(int64(st.SkeletonMisses))
 }
 
 // span opens a request-root trace span on the per-request tracer when
@@ -557,9 +543,6 @@ type EngineStats struct {
 	MemoEntries      int   `json:"memo_entries"`
 	CacheHits        int64 `json:"cache_hits"`
 	CacheMisses      int64 `json:"cache_misses"`
-	ResolvedFuncs    int64 `json:"resolved_functions"`
-	SkeletonHits     int64 `json:"skeleton_hits"`
-	SkeletonMisses   int64 `json:"skeleton_misses"`
 }
 
 // Stats snapshots the engine accounting.
@@ -577,9 +560,6 @@ func (e *Engine) Stats() EngineStats {
 		MemoEntries:      e.memo.len(),
 		CacheHits:        e.cacheHits.Load(),
 		CacheMisses:      e.cacheMisses.Load(),
-		ResolvedFuncs:    e.resolvedFns.Load(),
-		SkeletonHits:     e.skeletonHits.Load(),
-		SkeletonMisses:   e.skeletonMisses.Load(),
 	}
 }
 

@@ -174,6 +174,41 @@ func TestEngineDifferentialEditSequence(t *testing.T) {
 	}
 }
 
+// TestEngineMemoSurvivesUnrelatedEdit edits one call tree of a resident
+// program and re-checks: every job of the untouched tree must replay
+// from the memo (its entry's summary, and so its key, is unchanged),
+// only the edited tree's jobs may miss, and the findings must equal a
+// one-shot run over the edited sources.
+func TestEngineMemoSurvivesUnrelatedEdit(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	files := map[string]string{"a.go": engASrc, "b.go": engBSrc}
+	if _, err := eng.Check(CheckRequest{Upserts: sortedFiles(files)}); err != nil {
+		t.Fatal(err)
+	}
+	files["a.go"] = strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)
+	got, err := eng.Check(CheckRequest{Upserts: []gosrc.File{{Name: "a.go", Src: files["a.go"]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two roots (Other, Top) x every checker: Other's jobs hit, Top's miss.
+	perEntry := int64(len(All()))
+	if got.MemoHits != perEntry || got.MemoMisses != perEntry {
+		t.Fatalf("memo hits=%d misses=%d after editing Top's tree, want %d/%d",
+			got.MemoHits, got.MemoMisses, perEntry, perEntry)
+	}
+	pkg, err := LoadFiles(sortedFiles(files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(pkg, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderAll(t, got), renderAll(t, want); g != w {
+		t.Fatalf("memoized report differs from one-shot:\nengine:\n%s\none-shot:\n%s", g, w)
+	}
+}
+
 // TestEngineConcurrentRequests hammers one Engine (shared disk cache,
 // shared metrics registry) from many goroutines mixing check, explain,
 // multi-program and stats traffic. Primarily a -race exercise for the
@@ -361,14 +396,17 @@ func TestEngineStatsJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{
+	keys := []string{
 		"requests", "errors", "evictions", "resident_programs",
 		"memo_hits", "memo_misses", "memo_entries",
-		"cache_hits", "cache_misses", "resolved_functions",
-		"skeleton_hits", "skeleton_misses",
-	} {
+		"cache_hits", "cache_misses",
+	}
+	for _, key := range keys {
 		if _, ok := m[key]; !ok {
 			t.Errorf("EngineStats JSON lacks %q (got %s)", key, b)
 		}
+	}
+	if len(m) != len(keys) {
+		t.Errorf("EngineStats JSON has %d keys, want %d (got %s)", len(m), len(keys), b)
 	}
 }

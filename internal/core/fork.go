@@ -82,8 +82,7 @@ func (s *System) Fork(alg Algebra) *System {
 // Contract: Freeze is idempotent — after one call every union-find
 // parent is a root, so further calls (and every find on any path) read
 // without writing. It is therefore safe to call again on an
-// already-frozen System, even concurrently with Forks of it; the
-// snapshot encoder relies on this to re-normalize defensively. Freeze
+// already-frozen System, even concurrently with Forks of it. Freeze
 // does not imply quiescence: it is the caller's job not to add
 // constraints afterwards (Fork's contract), and a post-Freeze mutation
 // simply requires another Freeze before the next Fork.

@@ -16,14 +16,6 @@ func newSeenSet[K comparable]() seenSet[K] {
 	return seenSet[K]{own: make(map[K]struct{})}
 }
 
-// seenBase returns a set over a prebuilt frozen base layer. The snapshot
-// decoder reconstructs dedup state this way: the rebuilt map becomes the
-// base a decoded System's forks share, exactly as if it had been forked
-// from the live build.
-func seenBase[K comparable](base map[K]struct{}) seenSet[K] {
-	return seenSet[K]{base: base, own: make(map[K]struct{})}
-}
-
 func (s *seenSet[K]) has(k K) bool {
 	if _, ok := s.own[k]; ok {
 		return true
@@ -71,11 +63,6 @@ type internMap[K comparable, V any] struct {
 
 func newInternMap[K comparable, V any]() internMap[K, V] {
 	return internMap[K, V]{own: make(map[K]V)}
-}
-
-// internBase mirrors seenBase for intern tables.
-func internBase[K comparable, V any](base map[K]V) internMap[K, V] {
-	return internMap[K, V]{base: base, own: make(map[K]V)}
 }
 
 func (m *internMap[K, V]) get(k K) (V, bool) {

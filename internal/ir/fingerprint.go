@@ -42,6 +42,11 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // function f changes the Summary of exactly f's SCC members and their
 // transitive callers — the invalidation frontier incremental drivers
 // re-solve.
+//
+// The Component of a function hashes the sorted fingerprints of every
+// function in its weakly connected call-graph component: an edit to f
+// changes the Component of every function connected to f by calls or
+// spawns in either direction.
 func (p *Program) fingerprint() {
 	for _, f := range p.Funcs {
 		f.Fingerprint = fingerprintFunc(p.MC, f.Def)
@@ -50,7 +55,8 @@ func (p *Program) fingerprint() {
 }
 
 // summarize computes the SCC closure hashes and per-function Summary
-// keys from the already-set Fingerprints (bottom-up over the SCC DAG).
+// keys (bottom-up over the SCC DAG) and the Component keys from the
+// already-set Fingerprints.
 func (p *Program) summarize() {
 	closure := make([]Digest, len(p.SCCs))
 	for ci, members := range p.SCCs { // bottom-up: callees first
@@ -86,12 +92,49 @@ func (p *Program) summarize() {
 		fmt.Fprintf(h, "summary\nfp:%s\nscc:%s\n", f.Fingerprint, closure[f.SCC])
 		copy(f.Summary[:], h.Sum(nil))
 	}
-	ph := sha256.New()
-	fmt.Fprintf(ph, "program\n")
-	for _, f := range p.Funcs {
-		fmt.Fprintf(ph, "fn:%s:%s\n", f.Name, f.Fingerprint)
+	p.components()
+}
+
+// components sets every function's Component key: union-find over the
+// call and spawn edges, then one hash per component over its members'
+// sorted fingerprints.
+func (p *Program) components() {
+	parent := make([]int, len(p.Funcs))
+	for i := range parent {
+		parent[i] = i
 	}
-	copy(p.Digest[:], ph.Sum(nil))
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	for _, f := range p.Funcs {
+		for _, c := range f.Callees {
+			parent[find(c)] = find(f.ID)
+		}
+	}
+	members := map[int][]string{}
+	for _, f := range p.Funcs {
+		r := find(f.ID)
+		members[r] = append(members[r], f.Fingerprint.String())
+	}
+	digests := make(map[int]Digest, len(members))
+	for r, fps := range members {
+		sort.Strings(fps)
+		h := sha256.New()
+		fmt.Fprintf(h, "component\n")
+		for _, fp := range fps {
+			fmt.Fprintf(h, "m:%s\n", fp)
+		}
+		var d Digest
+		copy(d[:], h.Sum(nil))
+		digests[r] = d
+	}
+	for _, f := range p.Funcs {
+		f.Component = digests[find(f.ID)]
+	}
 }
 
 // fingerprintFunc hashes one function's normalized content.

@@ -31,8 +31,8 @@ func sameIR(t *testing.T, step string, got, want *Program) {
 	}
 	for i, f := range got.Funcs {
 		w := want.Funcs[i]
-		if f.Name != w.Name || f.Fingerprint != w.Fingerprint || f.Summary != w.Summary || f.SCC != w.SCC {
-			t.Errorf("%s: func %s: fp/summary/scc diverge from full lowering", step, f.Name)
+		if f.Name != w.Name || f.Fingerprint != w.Fingerprint || f.Summary != w.Summary || f.SCC != w.SCC || f.Component != w.Component {
+			t.Errorf("%s: func %s: fp/summary/scc/component diverge from full lowering", step, f.Name)
 		}
 	}
 }

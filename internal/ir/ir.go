@@ -149,6 +149,13 @@ type Function struct {
 	// function's fingerprint combined with the transitive fingerprints of
 	// its SCC and every SCC it can reach.
 	Summary Digest
+	// Component keys the function's weakly connected call-graph
+	// component: the fingerprints of every function linked to it by calls
+	// or spawns in either direction. It covers analyses whose flow is
+	// context-insensitive — a callee's exit returns to every caller, not
+	// only to callers reachable from the entry — and so leaves the
+	// Summary's closure.
+	Component Digest
 }
 
 // Program is a lowered, frontend-neutral program.
@@ -165,11 +172,6 @@ type Program struct {
 	// SCCs lists the call graph's strongly connected components in
 	// bottom-up order: every callee SCC precedes its callers.
 	SCCs [][]int
-	// Digest fingerprints the whole program: every function's name and
-	// fingerprint in definition order. Anything that depends on global
-	// program shape, rather than on one entry's call-graph closure, is
-	// pinned by this, not by any single entry's Summary.
-	Digest Digest
 	// Meta carries frontend notes and suppression directives.
 	Meta
 

@@ -163,6 +163,34 @@ func TestSummaryInvalidationFrontier(t *testing.T) {
 	}
 }
 
+// Editing one function changes the Component of every function in its
+// weakly connected call-graph component — callers, callees and their
+// other callers alike — and of no function outside it.
+func TestComponentInvalidation(t *testing.T) {
+	before := mustLower(t, diamondSrc)
+	after := mustLower(t, strings.Replace(diamondSrc, "work(1);", "work(3);", 1))
+	var changed []string
+	for i := range before.Funcs {
+		if before.Funcs[i].Component.IsZero() {
+			t.Fatalf("unset component of %s", before.Funcs[i].Name)
+		}
+		if before.Funcs[i].Component != after.Funcs[i].Component {
+			changed = append(changed, before.Funcs[i].Name)
+		}
+	}
+	// shared is called from left and right, which main calls; right also
+	// calls the ping/pong cycle. extra is on its own.
+	if strings.Join(changed, ",") != "main,left,right,shared,ping,pong" {
+		t.Fatalf("changed components = %v", changed)
+	}
+	if before.ByName["left"].Component != before.ByName["pong"].Component {
+		t.Fatal("left and pong are connected through right but have different components")
+	}
+	if before.ByName["extra"].Component == before.ByName["main"].Component {
+		t.Fatal("extra is disconnected but shares main's component")
+	}
+}
+
 // A cycle member's edit invalidates the whole SCC plus callers.
 func TestSummaryInvalidationThroughCycle(t *testing.T) {
 	before := mustLower(t, diamondSrc)

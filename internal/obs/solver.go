@@ -142,45 +142,6 @@ func NewCacheMetrics(r *Registry) *CacheMetrics {
 	}
 }
 
-// SnapshotMetrics is fed by the analysis driver's skeleton snapshot
-// cache (frozen solved constraint graphs serialized for instant cold
-// starts).
-type SnapshotMetrics struct {
-	// Hits counts skeletons reconstructed from a snapshot; Misses counts
-	// lookups that fell back to a live build (absent, corrupt or skewed
-	// snapshot). These are separate from cache.hits/cache.misses, which
-	// count result-record lookups.
-	Hits   *Counter
-	Misses *Counter
-	// Corrupt counts snapshots discarded by integrity or structural
-	// validation; VersionSkew counts snapshots skipped for a container
-	// format-version mismatch. Both also count as Misses.
-	Corrupt     *Counter
-	VersionSkew *Counter
-	// Stores counts snapshots written; Bytes sums the snapshot sizes
-	// moved in either direction (encoded on store, decoded on hit).
-	Stores *Counter
-	Bytes  *Counter
-	// EncodeMs and DecodeMs are the per-snapshot encode/decode wall-time
-	// distributions in milliseconds.
-	EncodeMs *Histogram
-	DecodeMs *Histogram
-}
-
-// NewSnapshotMetrics interns the skeleton-snapshot bundle in r.
-func NewSnapshotMetrics(r *Registry) *SnapshotMetrics {
-	return &SnapshotMetrics{
-		Hits:        r.Counter("snapshot.hits"),
-		Misses:      r.Counter("snapshot.misses"),
-		Corrupt:     r.Counter("snapshot.corrupt"),
-		VersionSkew: r.Counter("snapshot.version_skew"),
-		Stores:      r.Counter("snapshot.stores"),
-		Bytes:       r.Counter("snapshot.bytes"),
-		EncodeMs:    r.Histogram("snapshot.encode_ms", DefaultSizeBounds),
-		DecodeMs:    r.Histogram("snapshot.decode_ms", DefaultSizeBounds),
-	}
-}
-
 // DriverMetrics is fed by the analysis driver itself.
 type DriverMetrics struct {
 	// Jobs counts (checker × entry) jobs executed (cached or solved);

@@ -23,6 +23,38 @@ type scopeCase struct {
 	events *minic.EventMap
 }
 
+// fileTestSrc opens, uses and closes files in main and in a callee, so
+// the file property has events on both sides of a call.
+const fileTestSrc = `
+void main() {
+    int f = open("a");
+    if (f) { use(f); helper(f); }
+    while (f) { int g = open("b"); close(g); }
+    close(f);
+}
+void helper(int f) {
+    use(f);
+    int g = open("c");
+    close(g);
+}`
+
+func fileTestProp(t *testing.T) (*spec.Property, *minic.EventMap) {
+	t.Helper()
+	prop := spec.MustCompile(`
+start state Closed :
+    | open -> Open;
+state Open :
+    | close -> Closed
+    | use_closed -> Error;
+accept state Error;
+`)
+	events := &minic.EventMap{Rules: []minic.Rule{
+		{Callee: "open", ArgIndex: -1, Symbol: "open", LabelFromAssign: true},
+		{Callee: "close", ArgIndex: 0, Symbol: "close", LabelArg: 0},
+	}}
+	return prop, events
+}
+
 func scopeCases(t *testing.T) []scopeCase {
 	t.Helper()
 	read := func(path string) string {
@@ -32,11 +64,11 @@ func scopeCases(t *testing.T) []scopeCase {
 		}
 		return string(src)
 	}
-	fileProp, fileEvents := snapTestProp(t)
+	fileProp, fileEvents := fileTestProp(t)
 	cases := []scopeCase{
 		{"section63", read("testdata/section63.c"), SimplePrivilegeProperty(), minic.PrivilegeEvents()},
 		{"filestate", read("testdata/filestate.c"), spec.MustCompile(fileSpec), minic.FileEvents()},
-		{"snapshot", snapTestSrc, fileProp, fileEvents},
+		{"files", fileTestSrc, fileProp, fileEvents},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		src := synth.Generate(synth.Config{
@@ -204,7 +236,7 @@ func TestExitQueriesOutsideClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, events := snapTestProp(t)
+	prop, events := fileTestProp(t)
 	res, err := sk.CheckObs(prop, events, &Obs{Explain: true})
 	if err != nil {
 		t.Fatal(err)

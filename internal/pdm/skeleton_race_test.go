@@ -10,11 +10,9 @@ import (
 	"rasc/internal/spec"
 )
 
-// Regression test for the Fork/Stats concurrency contract under the
-// access pattern incremental caching produces: with cache-driven job
-// skipping, some workers call Skeleton.Check (forking the frozen base)
-// while others — whose jobs hit the cache — only read statistics
-// (Skeleton.BaseStats for entry records, Result.Sys.Stats for deltas).
+// Regression test for the Fork/Stats concurrency contract: some workers
+// call Skeleton.Check (forking the frozen base) while others only read
+// statistics (Skeleton.BaseStats, Result.Sys.Stats).
 // An audit of System.Fork and the layered dedup sets found no write to
 // the frozen base after Freeze; this test pins that down under -race
 // (the CI build-and-test job runs the suite with -race enabled).
