@@ -29,6 +29,13 @@
 // ever), dumpable via /v1/debug/flight; requests slower than -slow-ms
 // are persisted as Chrome trace JSON under -flight-dir. Access and
 // lifecycle logs are structured JSON lines on stderr at -log-level.
+//
+// Requests are bounded by fixed limits (see server.NewHTTPServer): a
+// /v1/check body of at most server.MaxCheckBodyBytes, headers within
+// server.ReadHeaderTimeout, the whole request within
+// server.ReadTimeout, and idle connections closed after
+// server.IdleTimeout. A panic in one analysis job fails that request
+// with an error; the daemon keeps serving.
 package main
 
 import (
@@ -117,7 +124,7 @@ func run() int {
 	if err != nil {
 		return fail(log, err)
 	}
-	srv := &http.Server{Handler: h.Root()}
+	srv := server.NewHTTPServer(h.Root())
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
@@ -131,7 +138,7 @@ func run() int {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		debugSrv = &http.Server{Handler: dmux}
+		debugSrv = server.NewHTTPServer(dmux)
 		go debugSrv.Serve(dln)
 		defer debugSrv.Close()
 	}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -356,5 +357,38 @@ func TestHasFindings(t *testing.T) {
 	r.Diagnostics = append(r.Diagnostics, Diagnostic{Severity: SeverityWarning})
 	if !r.HasFindings() {
 		t.Error("warnings are findings")
+	}
+}
+
+// TestJobPanicBecomesError: a checker whose Run panics fails the run
+// with an error naming the job instead of crashing the process. Nothing
+// is memoized for the failed job, and a run without that checker on the
+// same engine and package then succeeds.
+func TestJobPanicBecomesError(t *testing.T) {
+	boom := &Checker{
+		Name: "boom",
+		Doc:  "panics in every job",
+		Run:  func(*Package, *Checker, string) []Diagnostic { panic("kaboom") },
+	}
+	dl, _ := Get("doublelock")
+	pkg := loadCorpus(t)
+	eng := NewEngine(EngineConfig{})
+	want := regexp.MustCompile(`^analysis: boom/[^:]+: panic: kaboom$`)
+	for i := 0; i < 2; i++ {
+		_, err := eng.AnalyzePackage(pkg, Config{Checkers: []*Checker{dl, boom}, Parallel: 4})
+		if err == nil || !want.MatchString(err.Error()) {
+			t.Fatalf("run %d: err = %v, want %s", i, err, want)
+		}
+	}
+	rep, err := eng.AnalyzePackage(pkg, Config{Checkers: []*Checker{dl}, Parallel: 4})
+	if err != nil {
+		t.Fatalf("run without the panicking checker: %v", err)
+	}
+	fresh, err := Analyze(loadCorpus(t), Config{Checkers: []*Checker{dl}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Diagnostics, fresh.Diagnostics) {
+		t.Errorf("diagnostics after a panicking run differ from a fresh run:\n%+v\nvs\n%+v", rep.Diagnostics, fresh.Diagnostics)
 	}
 }

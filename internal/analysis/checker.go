@@ -97,7 +97,9 @@ type Checker struct {
 	NewEvents func() *minic.EventMap
 	// Run, when set, replaces the property solve: the checker computes
 	// its diagnostics from the package directly. Run must be safe for
-	// concurrent calls with distinct entries.
+	// concurrent calls with distinct entries. The driver resolves the
+	// entry's goroutines in the package's concurrency model before
+	// calling Run, so the model's work is counted in the run's metrics.
 	Run func(pkg *Package, c *Checker, entry string) []Diagnostic
 	// Message is the diagnostic text; a "%s" verb, if present, receives
 	// the parameter label (the offending mutex, file, rows value, ...).

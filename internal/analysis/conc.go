@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"rasc/internal/minic"
+	"rasc/internal/obs"
 )
 
 // This file is the driver's concurrency model. The translation marks
@@ -23,7 +24,10 @@ import (
 //     the callee's entry);
 //   - a lockset dataflow over that relation, per goroutine root: the
 //     set of (lock, mode) pairs possibly held at each node, seeded with
-//     the empty lockset (a new goroutine holds nothing).
+//     the empty lockset (a new goroutine holds nothing). It runs once
+//     per root function, however many entries and spawn sites share the
+//     root, and keeps the locksets only at the event nodes the checkers
+//     read (shared accesses and Lock/RLock acquisitions).
 //
 // Soundness caveats (also in DESIGN.md): there is no happens-before
 // order — an access before a spawn is treated as concurrent with the
@@ -105,24 +109,80 @@ func transfer(n *minic.Node, ls lockset) lockset {
 	return ls
 }
 
-// concModel caches the whole-program CFG, the goroutine flow relation
-// and per-root lockset dataflow results for a Package.
+// isLockOp reports whether a node's event changes the held lockset.
+func isLockOp(op minic.ConcOp) bool {
+	switch op {
+	case minic.ConcLock, minic.ConcRLock, minic.ConcUnlock, minic.ConcRUnlock:
+		return true
+	}
+	return false
+}
+
+// nodeSet is a dense set of CFG node IDs.
+type nodeSet []uint64
+
+func newNodeSet(n int) nodeSet { return make(nodeSet, (n+63)/64) }
+
+func (s nodeSet) mark(i int)        { s[i/64] |= 1 << (i % 64) }
+func (s nodeSet) marked(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+// concModel is the concurrency model of a Package: the goroutine flow
+// relation and the event lists, built once, plus facts memoized per
+// goroutine root and goroutine lists memoized per entry. Both memos are
+// filled under a sync.Once per key, so concurrent jobs compute each
+// root and each entry exactly once.
 type concModel struct {
 	cfg *minic.CFG
 	// flowSuccs is the single-goroutine flow relation: intraprocedural
 	// edges, call site -> callee entry, callee exit -> every return site
 	// (context-insensitive). Spawn nodes flow only to their successors.
 	flowSuccs [][]int
+	// spawns, accesses and acquires are the spawn, shared-access and
+	// Lock/RLock nodes in ascending ID order; events is accesses ∪
+	// acquires, the nodes whose locksets the checkers read.
+	spawns, accesses, acquires, events []int
 
 	mu      sync.Mutex
-	lsCache map[string]map[int][]lockset // root fn -> node -> locksets
+	roots   map[string]*rootFacts
+	entries map[string]*entryModel
+}
+
+// rootFacts are the model's facts about one goroutine root function.
+// Every goroutine starts holding no lock, so they depend only on the
+// root: an entry's g0 and every goroutine spawned on the same function
+// share them.
+type rootFacts struct {
+	once sync.Once
+	// reach is the set of nodes a goroutine on this root may execute.
+	reach nodeSet
+	// locks maps each reached event node to the locksets possibly held
+	// before it.
+	locks map[int][]lockset
+
+	// parent is a BFS tree over the flow relation for witness paths
+	// (-1 at the root's entry), built on first use: only spawners and
+	// roots with findings need one.
+	parentOnce sync.Once
+	parent     []int32
+}
+
+// entryModel is the memoized goroutine list of one entry function,
+// shared by the race and lockorder jobs of that entry.
+type entryModel struct {
+	once sync.Once
+	gs   []*goroutine
 }
 
 // concModel builds (once) the concurrency model of the package.
 func (p *Package) concModel() *concModel {
 	p.concOnce.Do(func() {
 		cfg := p.Prog.Graph
-		m := &concModel{cfg: cfg, flowSuccs: make([][]int, len(cfg.Nodes)), lsCache: map[string]map[int][]lockset{}}
+		m := &concModel{
+			cfg:       cfg,
+			flowSuccs: make([][]int, len(cfg.Nodes)),
+			roots:     map[string]*rootFacts{},
+			entries:   map[string]*entryModel{},
+		}
 		retSites := map[string][]int{}
 		callee := func(n *minic.Node) *minic.FuncDef {
 			if n.Call == nil {
@@ -150,10 +210,134 @@ func (p *Package) concModel() *concModel {
 			default:
 				m.flowSuccs[n.ID] = n.Succs
 			}
+			access := n.Kind == minic.NAccess
+			acquire := n.Conc == minic.ConcLock || n.Conc == minic.ConcRLock
+			if n.Kind == minic.NSpawn {
+				m.spawns = append(m.spawns, n.ID)
+			}
+			if access {
+				m.accesses = append(m.accesses, n.ID)
+			}
+			if acquire {
+				m.acquires = append(m.acquires, n.ID)
+			}
+			if access || acquire {
+				m.events = append(m.events, n.ID)
+			}
 		}
 		p.conc = m
 	})
 	return p.conc
+}
+
+// facts returns root's facts, computing them on first use. mm (nil OK)
+// counts the work of a computation.
+func (m *concModel) facts(root string, mm *obs.ModelMetrics) *rootFacts {
+	m.mu.Lock()
+	f := m.roots[root]
+	if f == nil {
+		f = &rootFacts{}
+		m.roots[root] = f
+	}
+	m.mu.Unlock()
+	f.once.Do(func() {
+		reach, locks, states := m.locksets(m.cfg.Entry[root])
+		f.reach, f.locks = reach, locks
+		if mm != nil {
+			mm.Roots.Inc()
+			mm.States.Add(states)
+		}
+	})
+	if f.reach == nil {
+		panic("concurrency model of " + root + " failed in an earlier job")
+	}
+	return f
+}
+
+// locksets runs the lockset dataflow from node start with the empty
+// seed (a new goroutine holds nothing). States are (node, lockset-ID)
+// pairs over a per-run intern table, visited in BFS order. It returns
+// the reached nodes, the locksets at the reached event nodes and the
+// number of states visited.
+func (m *concModel) locksets(start int) (nodeSet, map[int][]lockset, int64) {
+	nodes := m.cfg.Nodes
+	// Lockset ID i is sets[i]; ID 0 is the empty lockset.
+	sets := []lockset{nil}
+	ids := map[string]int32{"": 0}
+	// A transfer depends only on the node's lock event and the incoming
+	// lockset, so it is memoized across nodes.
+	type step struct {
+		op  minic.ConcOp
+		arg string
+		in  int32
+	}
+	next := map[step]int32{}
+	// at[n] is 1 + the one ID reaching n (0: not reached), or, once a
+	// second ID arrives — rarely — -(1 + i) for the ID list multi[i].
+	at := make([]int32, len(nodes))
+	var multi [][]int32
+	reach := newNodeSet(len(nodes))
+	visit := func(n int, id int32) bool {
+		switch a := at[n]; {
+		case a == 0:
+			at[n] = id + 1
+			reach.mark(n)
+			return true
+		case a == id+1:
+			return false
+		case a > 0:
+			at[n] = -int32(len(multi)) - 1
+			multi = append(multi, []int32{a - 1, id})
+			return true
+		}
+		i := -at[n] - 1
+		for _, x := range multi[i] {
+			if x == id {
+				return false
+			}
+		}
+		multi[i] = append(multi[i], id)
+		return true
+	}
+	type state struct{ node, ls int32 }
+	visit(start, 0)
+	queue := []state{{int32(start), 0}}
+	for qi := 0; qi < len(queue); qi++ {
+		st := queue[qi]
+		out := st.ls
+		if n := nodes[st.node]; isLockOp(n.Conc) {
+			k := step{n.Conc, n.ConcArg, st.ls}
+			id, ok := next[k]
+			if !ok {
+				ls := transfer(n, sets[st.ls])
+				key := ls.key()
+				if id, ok = ids[key]; !ok {
+					id = int32(len(sets))
+					ids[key] = id
+					sets = append(sets, ls)
+				}
+				next[k] = id
+			}
+			out = id
+		}
+		for _, s := range m.flowSuccs[st.node] {
+			if visit(s, out) {
+				queue = append(queue, state{int32(s), out})
+			}
+		}
+	}
+	locks := map[int][]lockset{}
+	for _, n := range m.events {
+		switch a := at[n]; {
+		case a > 0:
+			locks[n] = []lockset{sets[a-1]}
+		case a < 0:
+			for _, id := range multi[-a-1] {
+				locks[n] = append(locks[n], sets[id])
+			}
+		}
+	}
+	return reach, locks, int64(len(queue))
 }
 
 // goroutine is one abstract goroutine: the entry goroutine, or one
@@ -166,39 +350,43 @@ type goroutine struct {
 	// Prefix is the witness trace from the program entry to this
 	// goroutine's spawn statement (empty for the entry goroutine).
 	Prefix []TraceStep
-	// reach is the set of nodes this goroutine may execute; parent is a
-	// BFS tree over the flow relation for witness paths.
-	reach  map[int]bool
-	parent map[int]int
+	facts  *rootFacts
 }
 
-// explore fills g.reach and g.parent by BFS from the root's entry.
-func (m *concModel) explore(g *goroutine) {
-	g.reach = map[int]bool{}
-	g.parent = map[int]int{}
-	start := m.cfg.Entry[g.Root]
-	g.reach[start] = true
-	g.parent[start] = -1
-	queue := []int{start}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, s := range m.flowSuccs[id] {
-			if !g.reach[s] {
-				g.reach[s] = true
-				g.parent[s] = id
-				queue = append(queue, s)
+// parents returns g's root's BFS tree, building it on first use. The
+// BFS is the one that defines witness paths: FIFO from the root's
+// entry, successors in flow-relation order, first discovery wins.
+func (m *concModel) parents(g *goroutine) []int32 {
+	f := g.facts
+	f.parentOnce.Do(func() {
+		parent := make([]int32, len(m.cfg.Nodes))
+		for i := range parent {
+			parent[i] = -2 // not discovered
+		}
+		start := m.cfg.Entry[g.Root]
+		parent[start] = -1
+		queue := []int{start}
+		for qi := 0; qi < len(queue); qi++ {
+			id := queue[qi]
+			for _, s := range m.flowSuccs[id] {
+				if parent[s] == -2 {
+					parent[s] = int32(id)
+					queue = append(queue, s)
+				}
 			}
 		}
-	}
+		f.parent = parent
+	})
+	return f.parent
 }
 
 // path returns the witness trace from the goroutine's root entry to node
 // id, keeping entry hops and event nodes.
 func (m *concModel) path(p *Package, g *goroutine, id int) []TraceStep {
+	parent := m.parents(g)
 	var ids []int
-	for at := id; at >= 0; at = g.parent[at] {
-		ids = append(ids, at)
+	for at := int32(id); at >= 0; at = parent[at] {
+		ids = append(ids, int(at))
 	}
 	out := append([]TraceStep(nil), g.Prefix...)
 	for i := len(ids) - 1; i >= 0; i-- {
@@ -234,26 +422,33 @@ func (m *concModel) inCycle(id int) bool {
 	return false
 }
 
-// goroutines enumerates the abstract goroutines of an entry function:
-// g0 (the entry itself) plus one per reachable static spawn site, each
-// owned by the first goroutine (in discovery order) that reaches it.
-func (m *concModel) goroutines(p *Package, entry string) []*goroutine {
-	g0 := &goroutine{ID: 0, Root: entry}
-	m.explore(g0)
-	out := []*goroutine{g0}
+// goroutines returns the abstract goroutines of an entry function,
+// computing them (and their roots' facts) on first use: g0 (the entry
+// itself) plus one per reachable static spawn site, each owned by the
+// first goroutine (in discovery order) that reaches it. mm (nil OK)
+// counts the model's work.
+func (m *concModel) goroutines(p *Package, entry string, mm *obs.ModelMetrics) []*goroutine {
+	m.mu.Lock()
+	e := m.entries[entry]
+	if e == nil {
+		e = &entryModel{}
+		m.entries[entry] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.gs = m.enumerate(p, entry, mm) })
+	if e.gs == nil {
+		panic("concurrency model of entry " + entry + " failed in an earlier job")
+	}
+	return e.gs
+}
+
+func (m *concModel) enumerate(p *Package, entry string, mm *obs.ModelMetrics) []*goroutine {
+	out := []*goroutine{{ID: 0, Root: entry, facts: m.facts(entry, mm)}}
 	claimed := map[int]bool{}
 	for qi := 0; qi < len(out); qi++ {
 		g := out[qi]
-		// Spawn sites in ascending node order, for determinism.
-		var spawns []int
-		for id := range g.reach {
-			if m.cfg.Nodes[id].Kind == minic.NSpawn {
-				spawns = append(spawns, id)
-			}
-		}
-		sort.Ints(spawns)
-		for _, id := range spawns {
-			if claimed[id] {
+		for _, id := range m.spawns {
+			if claimed[id] || !g.facts.reach.marked(id) {
 				continue
 			}
 			n := m.cfg.Nodes[id]
@@ -264,70 +459,17 @@ func (m *concModel) goroutines(p *Package, entry string) []*goroutine {
 			claimed[id] = true
 			// The prefix ends at the spawn statement; the child's own
 			// path starts with its root's entry hop.
-			prefix := m.path(p, g, id)
-			child := &goroutine{
+			out = append(out, &goroutine{
 				ID:     len(out),
 				Root:   def.Name,
 				Spawn:  n,
 				Multi:  g.Multi || m.inCycle(id),
-				Prefix: prefix,
-			}
-			m.explore(child)
-			out = append(out, child)
+				Prefix: m.path(p, g, id),
+				facts:  m.facts(def.Name, mm),
+			})
 		}
 	}
 	return out
-}
-
-// locksets runs (and memoizes) the lockset dataflow from root's entry
-// with the empty seed. Every goroutine starts holding nothing, so the
-// result depends only on the root function.
-func (m *concModel) locksets(root string) map[int][]lockset {
-	m.mu.Lock()
-	if cached, ok := m.lsCache[root]; ok {
-		m.mu.Unlock()
-		return cached
-	}
-	m.mu.Unlock()
-
-	states := map[int]map[string]lockset{}
-	type item struct {
-		node int
-		ls   lockset
-	}
-	start := m.cfg.Entry[root]
-	states[start] = map[string]lockset{"": nil}
-	queue := []item{{start, nil}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		out := transfer(m.cfg.Nodes[it.node], it.ls)
-		k := out.key()
-		for _, s := range m.flowSuccs[it.node] {
-			if states[s] == nil {
-				states[s] = map[string]lockset{}
-			}
-			if _, seen := states[s][k]; !seen {
-				states[s][k] = out
-				queue = append(queue, item{s, out})
-			}
-		}
-	}
-	result := make(map[int][]lockset, len(states))
-	for id, set := range states {
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			result[id] = append(result[id], set[k])
-		}
-	}
-	m.mu.Lock()
-	m.lsCache[root] = result
-	m.mu.Unlock()
-	return result
 }
 
 // mustHold intersects a node's locksets: the locks held on EVERY path
@@ -382,27 +524,22 @@ type access struct {
 // a witness trace per goroutine.
 func raceDiagnostics(pkg *Package, c *Checker, entry string) []Diagnostic {
 	m := pkg.concModel()
-	gs := m.goroutines(pkg, entry)
+	gs := m.goroutines(pkg, entry, nil)
 	if len(gs) == 1 {
 		return nil // single goroutine: no races
 	}
 	byVar := map[string][]access{}
 	var vars []string
 	for _, g := range gs {
-		ls := m.locksets(g.Root)
-		var ids []int
-		for id := range g.reach {
-			if m.cfg.Nodes[id].Kind == minic.NAccess {
-				ids = append(ids, id)
+		for _, id := range m.accesses {
+			if !g.facts.reach.marked(id) {
+				continue
 			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
 			n := m.cfg.Nodes[id]
 			if _, seen := byVar[n.ConcArg]; !seen {
 				vars = append(vars, n.ConcArg)
 			}
-			byVar[n.ConcArg] = append(byVar[n.ConcArg], access{g: g, node: n, must: mustHold(ls[id])})
+			byVar[n.ConcArg] = append(byVar[n.ConcArg], access{g: g, node: n, must: mustHold(g.facts.locks[id])})
 		}
 	}
 	sort.Strings(vars)
@@ -462,7 +599,7 @@ func firstRace(pkg *Package, m *concModel, c *Checker, entry, v string, accs []a
 // deadlocks the same way.
 func lockOrderDiagnostics(pkg *Package, c *Checker, entry string) []Diagnostic {
 	m := pkg.concModel()
-	gs := m.goroutines(pkg, entry)
+	gs := m.goroutines(pkg, entry, nil)
 	type witness struct {
 		g    *goroutine
 		node *minic.Node
@@ -470,18 +607,12 @@ func lockOrderDiagnostics(pkg *Package, c *Checker, entry string) []Diagnostic {
 	edges := map[string]map[string]witness{} // held -> acquired -> first witness
 	var heldNames []string
 	for _, g := range gs {
-		ls := m.locksets(g.Root)
-		var ids []int
-		for id := range g.reach {
-			op := m.cfg.Nodes[id].Conc
-			if op == minic.ConcLock || op == minic.ConcRLock {
-				ids = append(ids, id)
+		for _, id := range m.acquires {
+			if !g.facts.reach.marked(id) {
+				continue
 			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
 			n := m.cfg.Nodes[id]
-			for _, set := range ls[id] {
+			for _, set := range g.facts.locks[id] {
 				for _, h := range set {
 					if h.Name == n.ConcArg {
 						continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rasc/internal/gosrc"
+	"rasc/internal/obs"
 )
 
 func loadRaceCorpus(t *testing.T) *Package {
@@ -410,5 +411,203 @@ func TestGithubRenderer(t *testing.T) {
 	want := "::error file=a.go,line=7::race: bad 100%25\n::warning file=b.go,line=3::lockorder: risky\n"
 	if buf.String() != want {
 		t.Errorf("github output:\n%q\nwant:\n%q", buf.String(), want)
+	}
+}
+
+// sharedModelSrc exercises the concurrency model's sharing: startA and
+// startB spawn the same function, pump is both an entry and a spawnee
+// (of startC) and spawns tick in a loop, so tick races with itself, and
+// lockAB/lockBA take a and b in opposite orders.
+const sharedModelSrc = `package p
+
+import "sync"
+
+var mu sync.Mutex
+var a sync.Mutex
+var b sync.Mutex
+var counter int
+var guarded int
+var hits int
+
+func startA() {
+	go shared()
+	go lockBA()
+	counter = 1
+	lockAB()
+}
+
+func startB() {
+	go shared()
+	counter = 2
+}
+
+func startC() {
+	go pump()
+	go shared()
+}
+
+func pump() {
+	for i := 0; i < 3; i++ {
+		go tick()
+	}
+}
+
+func tick() {
+	hits++
+}
+
+func shared() {
+	counter++
+	mu.Lock()
+	guarded++
+	mu.Unlock()
+}
+
+func lockAB() {
+	a.Lock()
+	b.Lock()
+	b.Unlock()
+	a.Unlock()
+}
+
+func lockBA() {
+	b.Lock()
+	a.Lock()
+	a.Unlock()
+	b.Unlock()
+}
+`
+
+var sharedModelEntries = []string{"startA", "startB", "startC", "pump"}
+
+func loadSharedModel(t *testing.T) *Package {
+	t.Helper()
+	pkg, err := LoadFiles([]gosrc.File{{Name: "shared.go", Src: sharedModelSrc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkg
+}
+
+func modelCheckers(t *testing.T) []*Checker {
+	t.Helper()
+	race, _ := Get("race")
+	lo, _ := Get("lockorder")
+	return []*Checker{race, lo}
+}
+
+// TestConcModelSharedAcrossEntries: per-root facts and per-entry
+// goroutine lists are shared by every job of a package, so an entry's
+// findings — traces included — must not depend on which other entries
+// ran before or beside it. Each entry is first analyzed alone; runs over
+// all entries at -parallel 1 and 8 and in reverse order must then equal
+// those per-entry results merged in the run's entry order (the driver
+// keeps the first of two equal findings from different entries).
+func TestConcModelSharedAcrossEntries(t *testing.T) {
+	checkers := modelCheckers(t)
+	alone := map[string][]Diagnostic{}
+	for _, e := range sharedModelEntries {
+		rep, err := Analyze(loadSharedModel(t), Config{Checkers: checkers, Entries: []string{e}, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[e] = rep.Diagnostics
+	}
+	merged := func(order []string) []Diagnostic {
+		seen := map[string]bool{}
+		var out []Diagnostic
+		for _, e := range order {
+			for _, d := range alone[e] {
+				if !seen[d.key()] {
+					seen[d.key()] = true
+					out = append(out, d)
+				}
+			}
+		}
+		sortDiagnostics(out)
+		return out
+	}
+	reversed := make([]string, len(sharedModelEntries))
+	for i, e := range sharedModelEntries {
+		reversed[len(reversed)-1-i] = e
+	}
+	shared := loadSharedModel(t)
+	for _, tc := range []struct {
+		name     string
+		pkg      *Package
+		entries  []string
+		parallel int
+	}{
+		{"parallel-1", loadSharedModel(t), sharedModelEntries, 1},
+		{"parallel-8", loadSharedModel(t), sharedModelEntries, 8},
+		{"reversed", loadSharedModel(t), reversed, 8},
+		// One package across runs: the second and third run read facts
+		// the first computed.
+		{"shared-parallel-8", shared, sharedModelEntries, 8},
+		{"shared-reversed", shared, reversed, 1},
+		{"shared-parallel-8-again", shared, sharedModelEntries, 8},
+	} {
+		rep, err := Analyze(tc.pkg, Config{Checkers: checkers, Entries: tc.entries, Parallel: tc.parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(rep.Diagnostics)
+		want, _ := json.Marshal(merged(tc.entries))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: diagnostics differ from the per-entry runs:\n%s\nwant:\n%s", tc.name, got, want)
+		}
+	}
+
+	// The corpus must exercise what it is for: the shared spawnee's race
+	// from both spawners, tick racing with itself, the inversion, and
+	// one finding reported by two entries with different traces.
+	labels := map[string]int{}
+	for _, e := range sharedModelEntries {
+		for _, d := range alone[e] {
+			labels[d.Checker+":"+d.Label]++
+		}
+	}
+	for _, want := range []string{"race:counter", "race:hits", "lockorder:a and b"} {
+		if labels[want] == 0 {
+			t.Errorf("no %s finding; per-entry findings: %v", want, labels)
+		}
+	}
+	if labels["race:hits"] < 2 {
+		t.Errorf("tick's self-race must be found from pump and from startC, got %d", labels["race:hits"])
+	}
+}
+
+// TestConcModelMetrics: analysis.model_roots counts each distinct
+// goroutine root once, however many entries and jobs share it, and both
+// model counters are the same at -parallel 1 and 8.
+func TestConcModelMetrics(t *testing.T) {
+	checkers := modelCheckers(t)
+	counts := func(parallel int) (roots, states int64) {
+		reg := obs.NewRegistry()
+		if _, err := Analyze(loadSharedModel(t), Config{Checkers: checkers, Entries: sharedModelEntries, Parallel: parallel, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		return snap.Counters["analysis.model_roots"], snap.Counters["analysis.model_states"]
+	}
+	roots1, states1 := counts(1)
+	roots8, states8 := counts(8)
+	if roots1 != roots8 || states1 != states8 {
+		t.Errorf("model counters differ: parallel 1 roots=%d states=%d, parallel 8 roots=%d states=%d",
+			roots1, states1, roots8, states8)
+	}
+	pkg := loadSharedModel(t)
+	distinct := map[string]bool{}
+	for _, e := range sharedModelEntries {
+		for _, g := range pkg.concModel().goroutines(pkg, e, nil) {
+			distinct[g.Root] = true
+		}
+	}
+	// startA, startB, startC, pump, shared, lockBA, tick.
+	if roots1 != int64(len(distinct)) || len(distinct) != 7 {
+		t.Errorf("model_roots = %d, want one per distinct goroutine root (%d: %v)", roots1, len(distinct), distinct)
+	}
+	if states1 == 0 {
+		t.Error("model_states must count the dataflow's states")
 	}
 }

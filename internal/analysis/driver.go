@@ -78,6 +78,10 @@ func (p *Package) skeleton(entry string, ob *obsState) (*pdm.Skeleton, error) {
 		}
 		sp.Finish()
 	})
+	if e.sk == nil && e.err == nil {
+		// The build panicked in an earlier job (runJob recovered it).
+		return nil, fmt.Errorf("skeleton of %s failed in an earlier job", entry)
+	}
 	return e.sk, e.err
 }
 
@@ -454,9 +458,19 @@ func coversChecker(names []string, checker string) bool {
 // the explain flag; with explain on, every diagnostic leaves with a
 // non-empty provenance chain, so cached records round-trip explain
 // output unchanged.
-func runJob(pkg *Package, c *Checker, entry string, ob *obsState) ([]Diagnostic, error) {
+//
+// A panic in the job — a checker's Run, a skeleton build or a fork
+// solve — becomes the job's error, so it fails the one request instead
+// of the process; serveJob stores nothing for a failed job.
+func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (ds []Diagnostic, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ds, err = nil, fmt.Errorf("analysis: %s/%s: panic: %v", c.Name, entry, r)
+		}
+	}()
 	if c.Run != nil {
-		ds := c.Run(pkg, c, entry)
+		pkg.concModel().goroutines(pkg, entry, ob.modelObs())
+		ds = c.Run(pkg, c, entry)
 		if ob.explainOn() {
 			ensureProvenance(ds)
 		}
@@ -471,7 +485,6 @@ func runJob(pkg *Package, c *Checker, entry string, ob *obsState) ([]Diagnostic,
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s/%s: %w", c.Name, entry, err)
 	}
-	var ds []Diagnostic
 	switch c.Mode {
 	case ModeLeakAtExit:
 		ds = leakDiagnostics(pkg, c, entry, res, events)

@@ -22,6 +22,7 @@ type obsState struct {
 	cacheM  *obs.CacheMetrics
 	driverM *obs.DriverMetrics
 	specM   *obs.SpecMetrics
+	modelM  *obs.ModelMetrics
 }
 
 func newObsState(cfg *Config) *obsState {
@@ -35,6 +36,7 @@ func newObsState(cfg *Config) *obsState {
 		ob.cacheM = obs.NewCacheMetrics(cfg.Metrics)
 		ob.driverM = obs.NewDriverMetrics(cfg.Metrics)
 		ob.specM = obs.NewSpecMetrics(cfg.Metrics)
+		ob.modelM = obs.NewModelMetrics(cfg.Metrics)
 	}
 	return ob
 }
@@ -80,6 +82,15 @@ func (o *obsState) pdmObs() *pdm.Obs {
 		return nil
 	}
 	return &pdm.Obs{Solver: o.solver, PDM: o.pdmM, Explain: o.explain}
+}
+
+// modelObs is the concurrency model's metric bundle, nil when metrics
+// are off.
+func (o *obsState) modelObs() *obs.ModelMetrics {
+	if o == nil {
+		return nil
+	}
+	return o.modelM
 }
 
 // jobDone accounts one finished (checker × entry) job.

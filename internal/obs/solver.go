@@ -160,3 +160,21 @@ func NewDriverMetrics(r *Registry) *DriverMetrics {
 		Diagnostics: r.Counter("driver.diagnostics"),
 	}
 }
+
+// ModelMetrics is fed by the analysis driver's concurrency model (the
+// race and lockorder checkers).
+type ModelMetrics struct {
+	// Roots counts goroutine roots whose facts (reach set and lockset
+	// dataflow) were computed; each root is computed once per package.
+	Roots *Counter
+	// States counts (node, lockset) states the lockset dataflow visited.
+	States *Counter
+}
+
+// NewModelMetrics interns the concurrency-model bundle in r.
+func NewModelMetrics(r *Registry) *ModelMetrics {
+	return &ModelMetrics{
+		Roots:  r.Counter("analysis.model_roots"),
+		States: r.Counter("analysis.model_states"),
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -46,6 +47,32 @@ import (
 	"rasc/internal/gosrc"
 	"rasc/internal/obs"
 )
+
+// Request bounds of the daemon. A POST /v1/check body may hold at most
+// MaxCheckBodyBytes — a full push of this repository's internal/...
+// tree is under 1 MiB of JSON — and a larger one is answered 413. The
+// http.Server built by NewHTTPServer gives a client ReadHeaderTimeout
+// to send its headers and ReadTimeout to send the whole request, and
+// closes keep-alive connections idle for IdleTimeout. There is no write
+// timeout: a cold check of a large program may solve for longer than
+// any fixed bound, and a solve cannot be cancelled yet.
+const (
+	MaxCheckBodyBytes = 32 << 20
+	ReadHeaderTimeout = 10 * time.Second
+	ReadTimeout       = 2 * time.Minute
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server serving h with the daemon's
+// request bounds.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
 
 // FilePayload is one source file on the wire.
 type FilePayload struct {
@@ -220,7 +247,12 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxCheckBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

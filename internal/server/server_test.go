@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -710,5 +711,99 @@ func TestClientRetryOnConnRefused(t *testing.T) {
 
 	if got := NewClientWith(ts.URL, ClientOptions{Timeout: 7 * time.Second}); got.http.Timeout != 7*time.Second {
 		t.Fatalf("timeout option not applied: %v", got.http.Timeout)
+	}
+}
+
+// panicProbe registers, once per test binary, a model checker that
+// panics on entry function Explode and reports nothing elsewhere, so
+// the other tests' runs over every checker are unaffected.
+var panicProbe sync.Once
+
+func registerPanicProbe() {
+	panicProbe.Do(func() {
+		analysis.Register(&analysis.Checker{
+			Name: "panicprobe",
+			Doc:  "test checker: panics on entry Explode",
+			Run: func(_ *analysis.Package, _ *analysis.Checker, entry string) []analysis.Diagnostic {
+				if entry == "Explode" {
+					panic("probe exploded")
+				}
+				return nil
+			},
+		})
+	})
+}
+
+// TestServerJobPanicFailsOneRequest: a panicking job answers its own
+// request with an error naming the job, and the daemon keeps serving —
+// the next check on the same handler and program succeeds.
+func TestServerJobPanicFailsOneRequest(t *testing.T) {
+	registerPanicProbe()
+	client, _, _ := newTestServer(t, nil)
+	files := []FilePayload{
+		{Name: "a.go", Src: srvASrc},
+		{Name: "x.go", Src: "package p\n\nfunc Explode() {}\n"},
+	}
+	_, err := client.Check(CheckRequest{Reset: true, Upserts: files, Checkers: []string{"panicprobe", "doublelock"}})
+	if err == nil || !strings.Contains(err.Error(), "analysis: panicprobe/Explode: panic: probe exploded") {
+		t.Fatalf("panicking job: err = %v", err)
+	}
+	rep, err := client.Check(CheckRequest{Checkers: []string{"doublelock"}})
+	if err != nil {
+		t.Fatalf("check after a panicking request: %v", err)
+	}
+	if len(rep.Diagnostics) != 1 || rep.Diagnostics[0].Checker != "doublelock" {
+		t.Fatalf("diagnostics after a panicking request = %+v, want the seeded double lock", rep.Diagnostics)
+	}
+}
+
+// TestServerOversizedBody: a /v1/check body past MaxCheckBodyBytes is
+// answered 413 without being buffered whole, and the handler serves the
+// next request normally.
+func TestServerOversizedBody(t *testing.T) {
+	client, _, ts := newTestServer(t, nil)
+	body := io.MultiReader(
+		strings.NewReader(`{"upserts":[{"name":"big.go","src":"`),
+		io.LimitReader(zeros{}, MaxCheckBodyBytes),
+		strings.NewReader(`"}]}`),
+	)
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "request body exceeds") {
+		t.Fatalf("oversized body = %d %s, want 413", resp.StatusCode, msg)
+	}
+	rep, err := client.Check(CheckRequest{Upserts: []FilePayload{{Name: "a.go", Src: srvASrc}}})
+	if err != nil {
+		t.Fatalf("check after an oversized request: %v", err)
+	}
+	if len(rep.Diagnostics) == 0 {
+		t.Fatal("check after an oversized request found nothing")
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestNewHTTPServerBounds: both daemon listeners bound header, request
+// and idle time, and deliberately set no write timeout (a long cold
+// solve must still get its answer).
+func TestNewHTTPServerBounds(t *testing.T) {
+	srv := NewHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("unbounded server: header %v, read %v, idle %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
 	}
 }
