@@ -99,8 +99,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("rasc: %d violation(s) in %v\n", len(res.Violations), time.Since(t0).Round(time.Millisecond))
-		for _, v := range res.Violations {
+		fmt.Printf("rasc: %d violation(s) in %v\n", len(res.Violations()), time.Since(t0).Round(time.Millisecond))
+		for _, v := range res.Violations() {
 			fmt.Println(" ", v)
 			for _, tp := range v.Trace {
 				arrow := "->"
@@ -110,7 +110,7 @@ func main() {
 				fmt.Printf("      %s %s:%d\n", arrow, tp.Fn, tp.Line)
 			}
 		}
-		violating = violating || len(res.Violations) > 0
+		violating = violating || len(res.Violations()) > 0
 	}
 	if *engine == "mops" || *engine == "both" {
 		t0 := time.Now()
@@ -179,7 +179,7 @@ func runTable1() {
 				fatal(err)
 			}
 			tMops += time.Since(t0)
-			if (len(res.Violations) > 0) != mres.Violating {
+			if (len(res.Violations()) > 0) != mres.Violating {
 				fmt.Fprintf(os.Stderr, "WARNING: engines disagree on %s program %d\n", row.Name, p)
 			}
 			anyViol = anyViol || mres.Violating

@@ -49,8 +49,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nconstraint engine: %d violation(s)\n", len(res.Violations))
-	for _, v := range res.Violations {
+	fmt.Printf("\nconstraint engine: %d violation(s)\n", len(res.Violations()))
+	for _, v := range res.Violations() {
 		fmt.Printf("  %s:%d tainted use of %s\n", v.Fn, v.Line, v.Label)
 	}
 

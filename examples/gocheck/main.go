@@ -79,8 +79,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("== %s: %d violation(s)\n", c.name, len(res.Violations))
-		for _, v := range res.Violations {
+		fmt.Printf("== %s: %d violation(s)\n", c.name, len(res.Violations()))
+		for _, v := range res.Violations() {
 			fmt.Printf("   %s (mutex %s)\n", v.String(), v.Label)
 			for _, tp := range v.Trace {
 				fmt.Printf("      via %s:%d\n", tp.Fn, tp.Line)

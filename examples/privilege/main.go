@@ -52,8 +52,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("== %s (constraint engine): %d violation(s)\n", c.name, len(res.Violations))
-		for _, v := range res.Violations {
+		fmt.Printf("== %s (constraint engine): %d violation(s)\n", c.name, len(res.Violations()))
+		for _, v := range res.Violations() {
 			fmt.Println("  ", v)
 			for _, tp := range v.Trace {
 				fmt.Printf("      via %s:%d\n", tp.Fn, tp.Line)
@@ -76,5 +76,5 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("fixed program under the full 11-state property: %d violation(s) (temporary drops are not enough)\n",
-		len(res.Violations))
+		len(res.Violations()))
 }

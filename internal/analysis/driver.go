@@ -499,7 +499,7 @@ func runJob(pkg *Package, c *Checker, entry string, ob *obsState) (ds []Diagnost
 
 func violationDiagnostics(pkg *Package, c *Checker, entry string, res *pdm.Result) []Diagnostic {
 	var out []Diagnostic
-	for _, v := range res.Violations {
+	for _, v := range res.Violations() {
 		d := Diagnostic{
 			Checker:  c.Name,
 			Severity: c.Severity,

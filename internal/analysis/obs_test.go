@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"rasc/internal/obs"
@@ -268,5 +269,56 @@ func TestSARIFProvenanceProperty(t *testing.T) {
 	}
 	if bytes.Contains(buf.Bytes(), []byte("provenance")) {
 		t.Error("non-explain SARIF mentions provenance")
+	}
+}
+
+// Every property job either forks the entry's skeleton or is answered
+// without one (no event layers on the closure): the two pdm counters sum
+// to the property jobs solved, at any pool size, and skipping leaves the
+// goldens byte-identical.
+func TestForkAccountingCoversPropertyJobs(t *testing.T) {
+	wantJSON, err := os.ReadFile("testdata/report.json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSARIF, err := os.ReadFile("testdata/report.sarif.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 8} {
+		pkg := loadCorpus(t)
+		reg := obs.NewRegistry()
+		rep, err := Analyze(pkg, Config{Parallel: parallel, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		props := 0
+		for _, c := range All() {
+			if c.Run == nil {
+				props++
+			}
+		}
+		propJobs := int64(props * len(pkg.Roots()))
+		forks, skipped := counter(reg, "pdm.skeleton_forks"), counter(reg, "pdm.skipped_forks")
+		if forks+skipped != propJobs {
+			t.Errorf("parallel %d: skeleton_forks %d + skipped_forks %d != %d property jobs",
+				parallel, forks, skipped, propJobs)
+		}
+		if skipped == 0 || forks == 0 {
+			t.Errorf("parallel %d: forks=%d skipped=%d, want both kinds on the corpus", parallel, forks, skipped)
+		}
+		if solved := counter(reg, "driver.jobs_solved"); solved != int64(rep.Jobs) {
+			t.Errorf("parallel %d: jobs_solved %d, want all %d jobs", parallel, solved, rep.Jobs)
+		}
+		var js, sarif bytes.Buffer
+		if err := rep.JSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.SARIF(&sarif); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js.Bytes(), wantJSON) || !bytes.Equal(sarif.Bytes(), wantSARIF) {
+			t.Errorf("parallel %d: report differs from the goldens", parallel)
+		}
 	}
 }

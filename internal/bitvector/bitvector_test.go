@@ -67,7 +67,7 @@ func bothCheck(t *testing.T, src string) (*IterResult, []string) {
 		t.Fatal(err)
 	}
 	var cons []string
-	for _, v := range res.Violations {
+	for _, v := range res.Violations() {
 		cons = append(cons, v.Label)
 	}
 	return iter, cons

@@ -122,8 +122,8 @@ func g() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Violations) != c.want {
-				t.Errorf("got %d violations, want %d: %v", len(res.Violations), c.want, res.Violations)
+			if len(res.Violations()) != c.want {
+				t.Errorf("got %d violations, want %d: %v", len(res.Violations()), c.want, res.Violations())
 			}
 		})
 	}
@@ -146,8 +146,8 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Errorf("interprocedural double lock missed: %v", res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Errorf("interprocedural double lock missed: %v", res.Violations())
 	}
 }
 
@@ -223,8 +223,8 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Errorf("got %d violations, want 1 (case-2 and no-case paths stay privileged)", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Errorf("got %d violations, want 1 (case-2 and no-case paths stay privileged)", len(res.Violations()))
 	}
 	// With explicit fallthrough from case 1 to 2, case 1's path is safe
 	// (drops then falls into case 2); still violating via case 2 directly.
@@ -249,8 +249,8 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Violations) != 1 {
-		t.Errorf("fallthrough case: got %d violations, want 1", len(res2.Violations))
+	if len(res2.Violations()) != 1 {
+		t.Errorf("fallthrough case: got %d violations, want 1", len(res2.Violations()))
 	}
 }
 
@@ -267,10 +267,10 @@ func TestLocksFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1: %v", len(res.Violations), res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1: %v", len(res.Violations()), res.Violations())
 	}
-	v := res.Violations[0]
+	v := res.Violations()[0]
 	if v.Label != "mu" || v.Line != 18 {
 		t.Errorf("violation = %+v, want mu at line 18", v)
 	}
@@ -297,7 +297,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 || res.Violations[0].Label != "w" {
-		t.Errorf("violations = %v, want exactly w", res.Violations)
+	if len(res.Violations()) != 1 || res.Violations()[0].Label != "w" {
+		t.Errorf("violations = %v, want exactly w", res.Violations())
 	}
 }

@@ -363,8 +363,8 @@ outer:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Errorf("got %d violations, want 1: %v", len(res.Violations), res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Errorf("got %d violations, want 1: %v", len(res.Violations()), res.Violations())
 	}
 }
 
@@ -392,8 +392,8 @@ outer:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Errorf("got %d violations, want 1: %v", len(res.Violations), res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Errorf("got %d violations, want 1: %v", len(res.Violations()), res.Violations())
 	}
 }
 
@@ -423,8 +423,8 @@ outer:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 0 {
-		t.Errorf("clean labeled break produced %v", res.Violations)
+	if len(res.Violations()) != 0 {
+		t.Errorf("clean labeled break produced %v", res.Violations())
 	}
 }
 
@@ -510,12 +510,12 @@ func helper() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("cross-file double lock: got %v", res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Fatalf("cross-file double lock: got %v", res.Violations())
 	}
 	// The violation is in helper, whose def maps to b.go.
-	if res.Violations[0].Fn != "helper" {
-		t.Errorf("violation fn = %s, want helper", res.Violations[0].Fn)
+	if res.Violations()[0].Fn != "helper" {
+		t.Errorf("violation fn = %s, want helper", res.Violations()[0].Fn)
 	}
 }
 

@@ -192,7 +192,7 @@ void main() { puts("hello"); }`, false},
 			if mres.Violating != c.want {
 				t.Errorf("mops verdict = %v, want %v", mres.Violating, c.want)
 			}
-			if got := len(pres.Violations) > 0; got != c.want {
+			if got := len(pres.Violations()) > 0; got != c.want {
 				t.Errorf("pdm verdict = %v, want %v", got, c.want)
 			}
 		})

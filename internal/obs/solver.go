@@ -52,8 +52,12 @@ type PDMMetrics struct {
 	// SkeletonBuilds counts property-independent skeleton builds.
 	SkeletonBuilds *Counter
 	// SkeletonForks counts copy-on-write forks layered on a skeleton
-	// (one per property × entry check).
+	// (one per property × entry check that layers an event).
 	SkeletonForks *Counter
+	// SkippedForks counts property × entry checks answered without a
+	// fork: no event layers on the entry's closure and the property
+	// rejects the empty word, so the check can report nothing.
+	SkippedForks *Counter
 	// LayeredEvents counts property-event edges added by forks (the
 	// annotation layers of the per-property phase).
 	LayeredEvents *Counter
@@ -71,6 +75,7 @@ func NewPDMMetrics(r *Registry) *PDMMetrics {
 	return &PDMMetrics{
 		SkeletonBuilds: r.Counter("pdm.skeleton_builds"),
 		SkeletonForks:  r.Counter("pdm.skeleton_forks"),
+		SkippedForks:   r.Counter("pdm.skipped_forks"),
 		LayeredEvents:  r.Counter("pdm.layered_events"),
 		PrunedEvents:   r.Counter("pdm.pruned_events"),
 		DeferredStmts:  r.Counter("pdm.deferred_stmts"),

@@ -112,7 +112,7 @@ void main() {
 		t.Fatal(err)
 	}
 	labels := map[string]bool{}
-	for _, v := range res.Violations {
+	for _, v := range res.Violations() {
 		labels[v.Label] = true
 	}
 	if !labels["wg"] || !labels["orphan"] || len(labels) != 2 {
@@ -145,8 +145,8 @@ void main() {
 }
 `
 	res := checkDepth(t, src)
-	if len(res.Violations) != 0 {
-		t.Fatalf("nesting depth 2 within bound 3 flagged: %+v", res.Violations)
+	if len(res.Violations()) != 0 {
+		t.Fatalf("nesting depth 2 within bound 3 flagged: %+v", res.Violations())
 	}
 }
 
@@ -169,7 +169,7 @@ void main() {
 }
 `
 	res := checkDepth(t, src)
-	if len(res.Violations) == 0 {
+	if len(res.Violations()) == 0 {
 		t.Fatal("unbounded recursion must exceed the depth bound")
 	}
 }
@@ -192,7 +192,7 @@ void main() {
 }
 `
 	res := checkDepth(t, src)
-	if len(res.Violations) != 0 {
-		t.Fatalf("sequential re-entry to depth 1 flagged: %+v", res.Violations)
+	if len(res.Violations()) != 0 {
+		t.Fatalf("sequential re-entry to depth 1 flagged: %+v", res.Violations())
 	}
 }

@@ -80,8 +80,8 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Violations) != c.want {
-				t.Errorf("got %d violations, want %d: %v", len(res.Violations), c.want, res.Violations)
+			if len(res.Violations()) != c.want {
+				t.Errorf("got %d violations, want %d: %v", len(res.Violations()), c.want, res.Violations())
 			}
 		})
 	}

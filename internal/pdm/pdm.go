@@ -25,17 +25,18 @@ import (
 
 // Result is the outcome of a model-checking run.
 type Result struct {
-	// Sys is the underlying constraint system, for advanced queries.
+	// Sys is the underlying constraint system, for advanced queries. Nil
+	// when the check was skipped because no event layers on the entry's
+	// closure (see Skeleton.Check).
 	Sys *core.System
 	// Base holds the solver statistics of the shared skeleton the run was
 	// layered on. Sys.Stats() includes it; Sys.Stats().Minus(Base) is the
 	// work attributable to this property alone. Zero when the run built
 	// its own system.
 	Base core.Stats
-	// PN is the program counter's PN-reachability result.
+	// PN is the program counter's PN-reachability result. Nil when Sys
+	// is.
 	PN *core.PNResult
-	// Violations, deduplicated and ordered by line.
-	Violations []Violation
 	// NodeVar maps CFG node IDs to their set variables; nodes outside the
 	// entry's call-graph closure map to NoVar.
 	NodeVar []core.VarID
@@ -48,6 +49,10 @@ type Result struct {
 	layered []layeredEvent // ascending node IDs
 	alg     core.Algebra
 	explain bool
+
+	// violations is collected on the first Violations call.
+	violations []Violation
+	collected  bool
 
 	// varNodes maps representatives back to CFG nodes; built on first
 	// use, since only violation traces and provenance need it.
@@ -138,11 +143,25 @@ func Check(prog *minic.Program, prop *spec.Property, events *minic.EventMap, ent
 	return sk.Check(prop, events)
 }
 
+// Violations returns the run's violations, deduplicated and ordered by
+// line. They are collected, witness traces included, on the first call
+// and memoized, so a caller that reads only the exit queries never pays
+// for them. Not safe for concurrent use.
+func (r *Result) Violations() []Violation {
+	if !r.collected {
+		r.collected = true
+		r.collectViolations()
+	}
+	return r.violations
+}
+
 // collectViolations implements §6.2 literally: record each statement that
 // could cause a transition to the error state — an action node where the
 // event's annotation composes some non-accepting pc occurrence into an
-// accepting one — and attach a witness trace.
-func (r *Result) collectViolations(alg core.Algebra) {
+// accepting one — and attach a witness trace. A skipped check has no
+// layered events, so it collects nothing.
+func (r *Result) collectViolations() {
+	alg := r.alg
 	seen := map[string]bool{}
 	for _, le := range r.layered {
 		n, ev := r.cfg.Nodes[le.id], le.a
@@ -173,7 +192,7 @@ func (r *Result) collectViolations(alg core.Algebra) {
 						Fn: n.Fn, Line: n.Line, Rule: "event", Annot: alg.String(comp),
 					})
 				}
-				r.Violations = append(r.Violations, Violation{
+				r.violations = append(r.violations, Violation{
 					Fn:         n.Fn,
 					Line:       n.Line,
 					NodeID:     n.ID,
@@ -185,11 +204,11 @@ func (r *Result) collectViolations(alg core.Algebra) {
 			}
 		}
 	}
-	sort.Slice(r.Violations, func(i, j int) bool {
-		if r.Violations[i].Line != r.Violations[j].Line {
-			return r.Violations[i].Line < r.Violations[j].Line
+	sort.Slice(r.violations, func(i, j int) bool {
+		if r.violations[i].Line != r.violations[j].Line {
+			return r.violations[i].Line < r.violations[j].Line
 		}
-		return r.Violations[i].Label < r.Violations[j].Label
+		return r.violations[i].Label < r.violations[j].Label
 	})
 }
 
@@ -302,9 +321,10 @@ func (r *Result) provSteps(steps []core.TraceStep) []ProvStep {
 // ExitProvenance returns the derivation chain behind a leak-mode
 // finding: how the annotation still accepting for label reached the
 // entry function's exit. Returns nil when the run was not checked with
-// Obs.Explain, or when no matching accepting fact exists.
+// Obs.Explain, when the check was skipped, or when no matching accepting
+// fact exists.
 func (r *Result) ExitProvenance(entry, label string) []ProvStep {
-	if !r.explain {
+	if !r.explain || r.PN == nil {
 		return nil
 	}
 	exitID, exitVar, ok := r.exitNode(entry)
@@ -392,8 +412,12 @@ func (r *Result) OpenInstancesAtExit(entry string) []string {
 // OpenInstancesAtExitDetail is OpenInstancesAtExit plus, per label, whether
 // the verdict is a MAY verdict: every accepting valuation reaching the exit
 // for that label rests on a saturated counter or relation tracker state.
-// Entries outside the run's closure have no exit fact: nil, nil.
+// Entries outside the run's closure, and skipped checks, have no exit
+// fact: nil, nil.
 func (r *Result) OpenInstancesAtExitDetail(entry string) ([]string, map[string]bool) {
+	if r.PN == nil {
+		return nil, nil
+	}
 	_, exitVar, ok := r.exitNode(entry)
 	if !ok {
 		return nil, nil

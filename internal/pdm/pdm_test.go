@@ -58,10 +58,10 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1: %v", len(res.Violations), res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1: %v", len(res.Violations()), res.Violations())
 	}
-	v := res.Violations[0]
+	v := res.Violations()[0]
 	if v.Fn != "main" {
 		t.Errorf("violation in %q, want main", v.Fn)
 	}
@@ -79,8 +79,8 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1", len(res.Violations()))
 	}
 }
 
@@ -93,8 +93,8 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 0 {
-		t.Fatalf("safe program flagged: %v", res.Violations)
+	if len(res.Violations()) != 0 {
+		t.Fatalf("safe program flagged: %v", res.Violations())
 	}
 }
 
@@ -111,11 +111,11 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1", len(res.Violations()))
 	}
-	if res.Violations[0].Fn != "runshell" {
-		t.Errorf("violation located in %q, want runshell", res.Violations[0].Fn)
+	if res.Violations()[0].Fn != "runshell" {
+		t.Errorf("violation located in %q, want runshell", res.Violations()[0].Fn)
 	}
 }
 
@@ -133,8 +133,8 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 0 {
-		t.Fatalf("matched return lost the privilege drop: %v", res.Violations)
+	if len(res.Violations()) != 0 {
+		t.Fatalf("matched return lost the privilege drop: %v", res.Violations())
 	}
 }
 
@@ -157,11 +157,11 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want exactly 1 (second execl): %v", len(res.Violations), res.Violations)
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want exactly 1 (second execl): %v", len(res.Violations()), res.Violations())
 	}
-	if res.Violations[0].Line != 10 {
-		t.Errorf("violation at line %d, want 10", res.Violations[0].Line)
+	if res.Violations()[0].Line != 10 {
+		t.Errorf("violation at line %d, want 10", res.Violations()[0].Line)
 	}
 }
 
@@ -182,11 +182,11 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1", len(res.Violations()))
 	}
-	if res.Violations[0].Fn != "spin" {
-		t.Errorf("violation in %q, want spin", res.Violations[0].Fn)
+	if res.Violations()[0].Fn != "spin" {
+		t.Errorf("violation in %q, want spin", res.Violations()[0].Fn)
 	}
 }
 
@@ -205,7 +205,7 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) == 0 {
+	if len(res.Violations()) == 0 {
 		t.Fatal("recursion hid the violation")
 	}
 }
@@ -222,8 +222,8 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1 (zero-iteration path)", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1 (zero-iteration path)", len(res.Violations()))
 	}
 }
 
@@ -241,8 +241,8 @@ void main() {
 }
 `
 	res := check(t, src, privilegeSpec, minic.PrivilegeEvents())
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1", len(res.Violations()))
 	}
 }
 
@@ -338,7 +338,7 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts = append(counts, len(res.Violations))
+		counts = append(counts, len(res.Violations()))
 	}
 	for _, c := range counts {
 		if c != counts[0] {
@@ -421,8 +421,8 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Violations) != c.want {
-				t.Errorf("got %d violations, want %d: %v", len(res.Violations), c.want, res.Violations)
+			if len(res.Violations()) != c.want {
+				t.Errorf("got %d violations, want %d: %v", len(res.Violations()), c.want, res.Violations())
 			}
 		})
 	}

@@ -108,7 +108,7 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(res.Violations) > 0; got != c.want {
+			if got := len(res.Violations()) > 0; got != c.want {
 				t.Errorf("pdm verdict = %v, want %v", got, c.want)
 			}
 			mres, err := mops.Check(prog, prop, events, "")

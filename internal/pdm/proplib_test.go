@@ -55,8 +55,8 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(res.Violations) > 0; got != c.want {
-				t.Errorf("pdm = %v, want %v (%v)", got, c.want, res.Violations)
+			if got := len(res.Violations()) > 0; got != c.want {
+				t.Errorf("pdm = %v, want %v (%v)", got, c.want, res.Violations())
 			}
 			mres, err := mops.Check(prog, prop, events, "")
 			if err != nil {
@@ -108,11 +108,11 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Violations) != c.want {
-				t.Fatalf("got %d violations, want %d: %v", len(res.Violations), c.want, res.Violations)
+			if len(res.Violations()) != c.want {
+				t.Fatalf("got %d violations, want %d: %v", len(res.Violations()), c.want, res.Violations())
 			}
-			if c.want > 0 && res.Violations[0].Label != c.label {
-				t.Errorf("label = %q, want %q", res.Violations[0].Label, c.label)
+			if c.want > 0 && res.Violations()[0].Label != c.label {
+				t.Errorf("label = %q, want %q", res.Violations()[0].Label, c.label)
 			}
 		})
 	}
@@ -172,8 +172,8 @@ void main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(res.Violations) > 0; got != c.want {
-				t.Errorf("got %v, want %v: %v", got, c.want, res.Violations)
+			if got := len(res.Violations()) > 0; got != c.want {
+				t.Errorf("got %v, want %v: %v", got, c.want, res.Violations())
 			}
 		})
 	}

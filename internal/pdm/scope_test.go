@@ -149,16 +149,16 @@ func TestScopedSkeletonIgnoresUnreachableCode(t *testing.T) {
 		for _, entry := range fns {
 			want := scopedCheck(t, c.src, entry, c)
 			got := scopedCheck(t, grown, entry, c)
-			if !reflect.DeepEqual(withoutNodeIDs(got.Violations), withoutNodeIDs(want.Violations)) {
+			if !reflect.DeepEqual(withoutNodeIDs(got.Violations()), withoutNodeIDs(want.Violations())) {
 				t.Errorf("%s/%s: violations diverge with unreachable code:\n got %+v\nwant %+v",
-					c.name, entry, got.Violations, want.Violations)
+					c.name, entry, got.Violations(), want.Violations())
 			}
 			gl, gm := got.OpenInstancesAtExitDetail(entry)
 			wl, wm := want.OpenInstancesAtExitDetail(entry)
 			if !reflect.DeepEqual(gl, wl) || !reflect.DeepEqual(gm, wm) {
 				t.Errorf("%s/%s: open at exit %v %v, want %v %v", c.name, entry, gl, gm, wl, wm)
 			}
-			violations += len(want.Violations)
+			violations += len(want.Violations())
 			open += len(wl)
 			for _, lbl := range wl {
 				if g, w := got.ExitProvenance(entry, lbl), want.ExitProvenance(entry, lbl); !reflect.DeepEqual(g, w) {

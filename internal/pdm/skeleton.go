@@ -235,8 +235,14 @@ type Obs struct {
 
 // Check layers one property onto the skeleton: it forks the solved base
 // system, classifies the deferred statements under the property's event
-// map, solves the residue online, and collects violations exactly as
-// pdm.Check does. Safe for concurrent use.
+// map and solves the residue online. The Result answers the violation
+// and exit queries on demand. Safe for concurrent use.
+//
+// A fork whose deferred statements layer no event — none matches the
+// event map, or every match is a pruned label — carries only identity
+// annotations, so it can report nothing unless the property accepts the
+// empty word. Such a check is skipped: the Result has no fork (Sys and
+// PN are nil), no violations and no open instances at exit.
 func (sk *Skeleton) Check(prop *spec.Property, events *minic.EventMap) (*Result, error) {
 	return sk.CheckObs(prop, events, nil)
 }
@@ -254,12 +260,66 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 	if alg.Identity() != 0 {
 		return nil, fmt.Errorf("pdm: algebra must represent identity as annotation 0 to layer on a shared skeleton")
 	}
+	var pm *obs.PDMMetrics
+	if o != nil {
+		pm = o.PDM
+	}
+
+	// Match every deferred statement once: sk.deferred[matchIdx[k]]
+	// matched matched[k]. The viability filter, the skip test and the
+	// layering below all read these lists.
+	var matchIdx []int
+	var matched []minic.Event
+	for i, d := range sk.deferred {
+		n := sk.cfg.Nodes[d.id]
+		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
+			matchIdx = append(matchIdx, i)
+			matched = append(matched, ev)
+		}
+	}
+	var pruned map[string]bool
+	if envTab != nil {
+		pruned = prunedLabels(prop, matched)
+	}
+	isPruned := func(ev minic.Event) bool {
+		return ev.Label != "" && prop.ParamOf[ev.Symbol] != "" && pruned[ev.Label]
+	}
+	live := 0
+	for _, ev := range matched {
+		if !isPruned(ev) {
+			live++
+		} else if pm != nil {
+			pm.PrunedEvents.Inc()
+		}
+	}
+
+	res := &Result{
+		Base:    sk.base,
+		NodeVar: sk.nodeVar,
+		prog:    sk.prog,
+		cfg:     sk.cfg,
+		nodes:   sk.nodes,
+		prop:    prop,
+		envTab:  envTab,
+		alg:     alg,
+		explain: o != nil && o.Explain,
+	}
+	ident := alg.Identity()
+	if live == 0 && !alg.Accepting(ident) {
+		// Every fact of the fork would carry the identity annotation, and
+		// the property rejects the empty word: nothing can be reported.
+		if pm != nil {
+			pm.SkippedForks.Inc()
+		}
+		return res, nil
+	}
+
 	sys := sk.sys.Fork(alg)
 	if o != nil {
 		sys.SetMetrics(o.Solver)
-		if o.PDM != nil {
-			o.PDM.SkeletonForks.Inc()
-		}
+	}
+	if pm != nil {
+		pm.SkeletonForks.Inc()
 	}
 
 	// annotOf computes the edge annotation for an event.
@@ -278,29 +338,15 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 		return core.Annot(envTab.Instantiate(param, ev.Label, f)), nil
 	}
 
-	ident := alg.Identity()
-	var pruned map[string]bool
-	if envTab != nil {
-		var matched []minic.Event
-		for _, d := range sk.deferred {
-			n := sk.cfg.Nodes[d.id]
-			if ev, ok := events.Match(n.Call, n.AssignTo); ok {
-				matched = append(matched, ev)
-			}
-		}
-		pruned = prunedLabels(prop, matched)
-	}
-	var layered []layeredEvent
-	for _, d := range sk.deferred {
+	for i, d := range sk.deferred {
 		n := sk.cfg.Nodes[d.id]
 		sv := sk.nodeVar[n.ID]
-		if ev, ok := events.Match(n.Call, n.AssignTo); ok {
-			if ev.Label != "" && prop.ParamOf[ev.Symbol] != "" && pruned[ev.Label] {
+		if len(matchIdx) > 0 && matchIdx[0] == i {
+			ev := matched[0]
+			matchIdx, matched = matchIdx[1:], matched[1:]
+			if isPruned(ev) {
 				for _, m := range n.Succs {
 					sys.AddVar(sv, sk.nodeVar[m], ident)
-				}
-				if o != nil && o.PDM != nil {
-					o.PDM.PrunedEvents.Inc()
 				}
 				continue
 			}
@@ -308,11 +354,11 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 			if err != nil {
 				return nil, err
 			}
-			layered = append(layered, layeredEvent{id: n.ID, a: a})
+			res.layered = append(res.layered, layeredEvent{id: n.ID, a: a})
 			for _, m := range n.Succs {
 				sys.AddVar(sv, sk.nodeVar[m], a)
-				if o != nil && o.PDM != nil {
-					o.PDM.LayeredEvents.Inc()
+				if pm != nil {
+					pm.LayeredEvents.Inc()
 				}
 			}
 			continue
@@ -332,22 +378,8 @@ func (sk *Skeleton) CheckObs(prop *spec.Property, events *minic.EventMap, o *Obs
 	if o != nil && o.Solver != nil {
 		sys.FlushSizeMetrics()
 	}
-
-	res := &Result{
-		Sys:     sys,
-		Base:    sk.base,
-		NodeVar: sk.nodeVar,
-		prog:    sk.prog,
-		cfg:     sk.cfg,
-		nodes:   sk.nodes,
-		prop:    prop,
-		envTab:  envTab,
-		layered: layered,
-		alg:     alg,
-		explain: o != nil && o.Explain,
-	}
+	res.Sys = sys
 	res.PN = sys.PNReach(sk.pc)
-	res.collectViolations(alg)
 	return res, nil
 }
 

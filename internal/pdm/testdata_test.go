@@ -22,10 +22,10 @@ func TestSection63Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("got %d violations, want 1", len(res.Violations))
+	if len(res.Violations()) != 1 {
+		t.Fatalf("got %d violations, want 1", len(res.Violations()))
 	}
-	v := res.Violations[0]
+	v := res.Violations()[0]
 	if v.Fn != "main" || v.Line != 9 {
 		t.Errorf("violation at %s:%d, want main:9 (the execl)", v.Fn, v.Line)
 	}

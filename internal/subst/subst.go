@@ -15,6 +15,7 @@ package subst
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rasc/internal/monoid"
@@ -124,13 +125,24 @@ func (e *Env) Lookup(i []Binding) monoid.FuncID {
 	return e.Entries[best].F
 }
 
-// key renders the canonical interning key of an environment.
-func (e *Env) key() string {
+// key renders the canonical interning key of an environment whose
+// entries are in canonical order; keys[i] is bindingsKey of entry i.
+func (e *Env) key(keys []string) string {
 	var b strings.Builder
-	for _, en := range e.Entries {
-		fmt.Fprintf(&b, "%s=%d;", bindingsKey(en.Bindings), en.F)
+	n := 12
+	for _, k := range keys {
+		n += len(k) + 12
 	}
-	fmt.Fprintf(&b, "|%d", e.Residual)
+	b.Grow(n)
+	var num [20]byte
+	for i, en := range e.Entries {
+		b.WriteString(keys[i])
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(en.F), 10))
+		b.WriteByte(';')
+	}
+	b.WriteByte('|')
+	b.Write(strconv.AppendInt(num[:0], int64(e.Residual), 10))
 	return b.String()
 }
 
@@ -207,12 +219,17 @@ func NewTable(mon *monoid.Monoid) *Table {
 	return t
 }
 
+// intern canonicalizes e's entry order — ascending binding key, each
+// key computed once — and returns its ID, adding e if it is new.
 func (t *Table) intern(e *Env) ID {
-	// Canonicalize entry order.
-	sort.Slice(e.Entries, func(i, j int) bool {
-		return bindingsKey(e.Entries[i].Bindings) < bindingsKey(e.Entries[j].Bindings)
-	})
-	k := e.key()
+	keys := make([]string, len(e.Entries))
+	for i, en := range e.Entries {
+		keys[i] = bindingsKey(en.Bindings)
+	}
+	if len(keys) > 1 {
+		sort.Sort(byKey{e.Entries, keys})
+	}
+	k := e.key(keys)
 	if id, ok := t.index[k]; ok {
 		return id
 	}
@@ -220,6 +237,19 @@ func (t *Table) intern(e *Env) ID {
 	t.envs = append(t.envs, e)
 	t.index[k] = id
 	return id
+}
+
+// byKey sorts entries by their precomputed binding keys.
+type byKey struct {
+	entries []Entry
+	keys    []string
+}
+
+func (s byKey) Len() int           { return len(s.keys) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // Identity returns the identity environment's ID.

@@ -2,6 +2,7 @@ package subst
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -389,5 +390,83 @@ func TestQuickMultiParamAssociativity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// internSequence runs a fixed sequence of Instantiate/Then/FromFunc calls
+// over the file property and returns the ID of each result, in order.
+func internSequence(t *testing.T) []ID {
+	p := fileProperty(t)
+	mon := p.Mon
+	tab := NewTable(mon)
+	fOpen, _ := mon.SymbolFuncByName("open")
+	fClose, _ := mon.SymbolFuncByName("close")
+	var ids []ID
+	rec := func(id ID) ID {
+		ids = append(ids, id)
+		return id
+	}
+	o1 := rec(tab.Instantiate("x", "fd1", fOpen))
+	o2 := rec(tab.Instantiate("x", "fd2", fOpen))
+	o3 := rec(tab.Instantiate("x", "a\x01b", fOpen))
+	c1 := rec(tab.Instantiate("x", "fd1", fClose))
+	c2 := rec(tab.Instantiate("x", "fd2", fClose))
+	g := rec(tab.FromFunc(fOpen))
+	o12 := rec(tab.Then(o1, o2))
+	o21 := rec(tab.Then(o2, o1))
+	o123 := rec(tab.Then(o12, o3))
+	o312 := rec(tab.Then(o3, o12))
+	rec(tab.Then(o123, c1))
+	rec(tab.Then(o312, c2))
+	rec(tab.Then(tab.Then(o21, c2), c1))
+	rec(tab.Then(g, o12))
+	rec(tab.Then(o12, g))
+	rec(tab.InstantiateMulti([]Binding{{"y", "q"}, {"x", "p"}}, fOpen))
+	rec(tab.Then(tab.InstantiateMulti([]Binding{{"x", "fd1"}, {"y", "q"}}, fClose), o123))
+	rec(ID(tab.Size()))
+	return ids
+}
+
+// The IDs a fixed call sequence interns are pinned: entry-order
+// canonicalization decides which environments are equal, and IDs are
+// handed out in first-intern order, so a change to either shows here.
+func TestInternIDsPinned(t *testing.T) {
+	got := internSequence(t)
+	want := []ID{1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 9, 10, 12, 13, 13, 14, 16, 17}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("interned IDs = %v, want %v", got, want)
+	}
+}
+
+// Interning does not depend on the order of an environment's entries.
+func TestInternEntryOrderIndependent(t *testing.T) {
+	p := fileProperty(t)
+	mon := p.Mon
+	tab := NewTable(mon)
+	fOpen, _ := mon.SymbolFuncByName("open")
+	fClose, _ := mon.SymbolFuncByName("close")
+	entries := []Entry{
+		{Bindings: []Binding{{"x", "fd2"}}, F: fOpen},
+		{Bindings: []Binding{{"x", "fd1"}, {"y", "q"}}, F: fClose},
+		{Bindings: []Binding{{"x", "fd1"}}, F: fClose},
+		{Bindings: []Binding{{"y", "q"}}, F: fOpen},
+	}
+	first := tab.intern(&Env{Entries: append([]Entry{}, entries...), Residual: fOpen})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		perm := append([]Entry{}, entries...)
+		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		if id := tab.intern(&Env{Entries: perm, Residual: fOpen}); id != first {
+			t.Fatalf("permutation %v interned as %d, want %d", perm, id, first)
+		}
+	}
+	env := tab.Env(first)
+	for i := 1; i < len(env.Entries); i++ {
+		if bindingsKey(env.Entries[i-1].Bindings) >= bindingsKey(env.Entries[i].Bindings) {
+			t.Fatalf("entries not in canonical order: %v", env)
+		}
+	}
+	if other := tab.intern(&Env{Entries: append([]Entry{}, entries[:3]...), Residual: fOpen}); other == first {
+		t.Fatalf("a strict subset of the entries interned as the same environment")
 	}
 }

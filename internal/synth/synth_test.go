@@ -61,8 +61,8 @@ func TestViolationCountMatchesInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Violations) != unsafeN {
-			t.Errorf("unsafe=%d: constraint engine found %d violations", unsafeN, len(res.Violations))
+		if len(res.Violations()) != unsafeN {
+			t.Errorf("unsafe=%d: constraint engine found %d violations", unsafeN, len(res.Violations()))
 		}
 		mres, err := mops.Check(prog, prop, minic.PrivilegeEvents(), "")
 		if err != nil {
@@ -93,9 +93,9 @@ func TestEnginesAgreeAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (len(res.Violations) > 0) != mres.Violating {
+		if (len(res.Violations()) > 0) != mres.Violating {
 			t.Errorf("seed %d: engines disagree (pdm %d, mops %v)",
-				seed, len(res.Violations), mres.Violating)
+				seed, len(res.Violations()), mres.Violating)
 		}
 	}
 }
@@ -143,9 +143,9 @@ func TestEnginesAgreeFullProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (len(res.Violations) > 0) != mres.Violating {
+		if (len(res.Violations()) > 0) != mres.Violating {
 			t.Errorf("seed %d: engines disagree (pdm %d, mops %v)",
-				seed, len(res.Violations), mres.Violating)
+				seed, len(res.Violations()), mres.Violating)
 		}
 	}
 }
@@ -170,8 +170,8 @@ func TestGenerateTaintParsesAndChecks(t *testing.T) {
 	// functions on the guaranteed chain are analyzed from pc. The
 	// iterative baseline analyzes everything reachable too, so the two
 	// must agree.
-	if len(iter.Violations) != len(res.Violations) {
+	if len(iter.Violations) != len(res.Violations()) {
 		t.Errorf("iterative %d vs constraints %d violations",
-			len(iter.Violations), len(res.Violations))
+			len(iter.Violations), len(res.Violations()))
 	}
 }
