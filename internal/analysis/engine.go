@@ -56,11 +56,6 @@ type EngineConfig struct {
 	// Metrics, when non-nil, receives the per-run bundles (solver, pdm,
 	// cache, driver) plus the engine's server.* bundle.
 	Metrics *obs.Registry
-	// Trace, when non-nil, records request roots and per-run phase spans
-	// into one process-wide tracer. When Flight is set (or a request asks
-	// for its trace inline) the engine instead runs each request under
-	// its own tracer, so per-request span trees stay separable.
-	Trace *obs.Tracer
 	// Flight, when non-nil, records every request — trace ID, outcome,
 	// duration, memo accounting and full span tree — into the flight
 	// recorder.
@@ -208,7 +203,7 @@ func (e *Engine) Check(req CheckRequest) (*Report, error) {
 			traceID = obs.NewTraceID()
 		}
 	}
-	sp := e.span(tr, "request:"+programName(req.Program))
+	sp := tr.Start("request:" + programName(req.Program))
 	if traceID != "" {
 		sp.SetAttr("trace_id", traceID)
 	}
@@ -275,17 +270,13 @@ func (e *Engine) check(req CheckRequest, tr *obs.Tracer) (*Report, error) {
 	if parallel <= 0 {
 		parallel = e.cfg.Parallel
 	}
-	trace := e.cfg.Trace
-	if tr != nil {
-		trace = tr
-	}
 	cfg := Config{
 		Checkers:       checkers,
 		Entries:        req.Entries,
 		Parallel:       parallel,
 		KeepSuppressed: req.KeepSuppressed,
 		Cache:          e.cfg.Cache,
-		Trace:          trace,
+		Trace:          tr,
 		Metrics:        e.cfg.Metrics,
 		Explain:        req.Explain,
 	}
@@ -469,18 +460,6 @@ func (e *Engine) account(st *CacheStats) {
 	}
 	e.cacheHits.Add(int64(st.Hits))
 	e.cacheMisses.Add(int64(st.Misses))
-}
-
-// span opens a request-root trace span on the per-request tracer when
-// one is active, otherwise on the engine's static tracer; nil-safe.
-func (e *Engine) span(tr *obs.Tracer, name string) *obs.Span {
-	if tr != nil {
-		return tr.Start(name)
-	}
-	if e.cfg.Trace == nil {
-		return nil
-	}
-	return e.cfg.Trace.Start(name)
 }
 
 // checkersByName resolves checker names; nil selects every registered

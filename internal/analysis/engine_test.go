@@ -209,6 +209,47 @@ func TestEngineMemoSurvivesUnrelatedEdit(t *testing.T) {
 	}
 }
 
+// TestEngineRingSwapsBackFlappedFileSet flaps one file A -> B -> A. The
+// third request's file set equals the first one's, which sits in the
+// lowered-snapshot ring, so it must swap back in without re-lowering
+// (no server.relower_ms observation) and still report exactly what a
+// one-shot Analyze over A reports.
+func TestEngineRingSwapsBackFlappedFileSet(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := NewEngine(EngineConfig{Metrics: reg})
+	relowers := func() int64 { return reg.Snapshot().Histograms["server.relower_ms"].Count }
+	fixed := strings.Replace(engASrc, "mu.Lock() // BUG", "mu.Unlock()", 1)
+	files := map[string]string{"a.go": engASrc, "b.go": engBSrc}
+
+	if _, err := eng.Check(CheckRequest{Upserts: sortedFiles(files)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Check(CheckRequest{Upserts: []gosrc.File{{Name: "a.go", Src: fixed}}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := relowers(); n != 2 {
+		t.Fatalf("%d relowers after two distinct file sets, want 2", n)
+	}
+	got, err := eng.Check(CheckRequest{Upserts: []gosrc.File{{Name: "a.go", Src: engASrc}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := relowers(); n != 2 {
+		t.Fatalf("flapping back to the first file set re-lowered (%d relowers, want 2)", n)
+	}
+	pkg, err := LoadFiles(sortedFiles(files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(pkg, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderAll(t, got), renderAll(t, want); g != w {
+		t.Fatalf("swapped-in report differs from one-shot:\nengine:\n%s\none-shot:\n%s", g, w)
+	}
+}
+
 // TestEngineConcurrentRequests hammers one Engine (shared disk cache,
 // shared metrics registry) from many goroutines mixing check, explain,
 // multi-program and stats traffic. Primarily a -race exercise for the
